@@ -32,8 +32,6 @@ from .drivers import (
     affine_driver,
     check_balanced,
     constant_driver,
-    hamiltonian_argmax,
-    hamiltonian_argmin,
     hamiltonian_inf,
     hamiltonian_sup,
     incremental_ratio,
@@ -136,7 +134,7 @@ __all__ = [
     # drivers
     "MarkovianDriver", "ControlSet", "BalanceCertificate", "affine_driver",
     "zero_driver", "constant_driver", "hamiltonian_inf", "hamiltonian_sup",
-    "hamiltonian_argmin", "hamiltonian_argmax", "reliability_driver",
+    "reliability_driver",
     "shortest_path_driver", "measure_envelope_driver", "truncate_driver",
     "check_balanced", "lipschitz_bound", "incremental_ratio",
     "shift_invariance_defect",

@@ -19,7 +19,6 @@ from .chain import RateMatrix, states_reaching, validate_rate_matrix
 from .drivers import (
     ControlSet,
     MarkovianDriver,
-    hamiltonian_argmin,
     hamiltonian_inf,
     reliability_driver,
     shortest_path_driver,
@@ -221,7 +220,7 @@ def solve_control(
 
     Solves the stationary system for the lower-Hamiltonian driver
     ``min_u { cost(x, u) + z @ (A^u - A) e_x }``, reads the policy off the
-    argmin at the solution field (lowest index on ties), then re-derives
+    driver's active controls at the solution field, then re-derives
     the extracted policy's value by an independent fixed-policy solve and
     requires agreement within ``verify_tol``.
 
@@ -237,9 +236,7 @@ def solve_control(
     sol = solve_homogeneous(p, tol=tol)
 
     u = sol.u
-    pol = tuple(
-        hamiltonian_argmin(cs, chain, x, 0.0, float(u[x]), u) for x in range(chain.n)
-    )
+    pol = tuple(driver.policy(u).tolist())
     check = stationary_policy_value(cs, chain, target, terminal, pol, tol=tol)
     gap = float(np.abs(check - u).max())
     if gap > verify_tol:
@@ -289,8 +286,8 @@ def reliability(
     succeeds on reaching ``target_node``.  The value is the discounted
     indicator u(x) in [0, 1].  With ``controls``, routing maximizes the
     survival probability over the control family augmented with the
-    reference chain (doing nothing is always admissible), and the argmax
-    feedback policy is returned alongside the field.
+    reference chain (doing nothing is always admissible), and the
+    maximizing feedback policy is returned alongside the field.
     """
     n = chain.n
     dead = frozenset(int(i) for i in dead)
@@ -314,12 +311,7 @@ def reliability(
     if controls is None:
         return sol
 
-    u = sol.u
-    diffs = np.stack([m.q - chain.q for m in mats])
-    pol = tuple(
-        int(np.argmax([u @ diffs[k, :, x] for k in range(len(mats))]))
-        for x in range(n)
-    )
+    pol = tuple(driver.policy(sol.u).tolist())
     return ControlSolution(
         value=sol,
         policy={x: labels[pol[x]] for x in range(n)},

@@ -25,6 +25,7 @@ Nodes are named by any token and indexed in order of first appearance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,17 +248,30 @@ def implied_matrix(c: CircuitSpec, v) -> RateMatrix:
     return validate_rate_matrix(_assemble(c, weight), state_names=c.nodes)
 
 
+@dataclass(frozen=True)
+class _CircuitDriver(MarkovianDriver):
+    """Circuit driver whose field assembles the implied generator once per call."""
+
+    gap: Callable[[NDArray[np.float64]], NDArray[np.float64]] | None = None
+
+    def field(self, t, u, rows):
+        return self.gap(u)[rows]
+
+
 def circuit_driver(c: CircuitSpec, reference: RateMatrix | None = None) -> MarkovianDriver:
     """Driver ``z @ (A^z - A) e_x``: the gap between the implied-conductance
     generator at potentials z and the fixed all-resistor reference."""
     a = reference_matrix(c) if reference is None else reference
     aq = a.q
 
-    def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
+    def gap(z: NDArray[np.float64]) -> NDArray[np.float64]:
         az = _assemble(c, lambda i, j, comp: _conductance(comp, z[i] - z[j]))
-        return float(z @ (az[:, x] - aq[:, x]))
+        return (az - aq).T @ z
 
-    return MarkovianDriver(fn, c=0.0, monotone=True, spec={"type": "diode_circuit"})
+    def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
+        return float(gap(z)[x])
+
+    return _CircuitDriver(fn, spec={"type": "diode_circuit"}, gap=gap)
 
 
 def solve_circuit(c: CircuitSpec, tol: float = 1e-10, max_iter: int = 200) -> SolutionField:

@@ -31,6 +31,7 @@ from .circuits import (
     parse_netlist,
     solve_circuit,
 )
+from .drivers import shortest_path_driver
 from .ergodicity import condition_K, exp_moment, worst_case_exp_moment
 from .errors import InputError, NoFiniteExponentError, NumericalError
 from .io import (
@@ -207,13 +208,8 @@ def _cmd_app(args, argv, t0) -> int:
         rows = [[x, float(u[x]), float(full.field_at(0.0)[x])] for x in range(g.n)]
         if paths_n:
             mats = [g.walk] + list(g.speedups)
-            q_eff = np.stack(
-                [
-                    mats[int(np.argmin([u @ (m.q[:, x] - g.walk.q[:, x]) for m in mats]))].q[:, x]
-                    for x in range(g.n)
-                ],
-                axis=1,
-            )
+            pol = shortest_path_driver(g.walk, mats).policy(u)
+            q_eff = np.stack([mats[k].q[:, x] for x, k in enumerate(pol)], axis=1)
             mcp = McProblem(
                 chain=validate_rate_matrix(q_eff),
                 target=frozenset({g.target}), phi=np.zeros(g.n), running=np.ones(g.n),

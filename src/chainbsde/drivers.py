@@ -5,6 +5,14 @@ the current solution value and ``z`` a vector over states (only differences
 ``z[j] - z[x]`` ever matter; every constructor here produces drivers that are
 exactly invariant under adding a constant to ``z``).
 
+Solvers call only ``field(t, u, rows)``, the values ``f(x, t, u[x], u)`` at
+``rows``, and ``jacobian(t, u, rows)``, their derivative in ``u[rows]``; by
+default these loop over ``fn`` and difference it forward.  Every built-in
+constructor but the measure envelope returns instead a min or max over members
+``cost[x, k] - r[x] * y + z @ (A^k - A) e_x``, evaluated for all states at
+once, with the active member's exact Jacobian and ``policy(u)``, the one rule
+for which member is active (lowest index on ties).
+
 The key structural property is *balance at level gamma*: every increment in
 ``z`` can be written against a jump-intensity vector whose components stay
 within a factor ``[gamma, 1/gamma]`` of the reference chain's rates.  Balance
@@ -21,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
 
 from .chain import RateMatrix, max_gamma
 from .errors import (
@@ -41,8 +48,6 @@ __all__ = [
     "constant_driver",
     "hamiltonian_inf",
     "hamiltonian_sup",
-    "hamiltonian_argmin",
-    "hamiltonian_argmax",
     "reliability_driver",
     "shortest_path_driver",
     "measure_envelope_driver",
@@ -88,6 +93,72 @@ class MarkovianDriver:
         return float(self.fn(int(x), float(t), float(y), np.asarray(z, dtype=float)))
 
     __call__ = eval
+
+    def field(self, t: float, u: NDArray[np.float64], rows) -> NDArray[np.float64]:
+        """``f(x, t, u[x], u)`` for every state ``x`` in ``rows``."""
+        return np.array([self.eval(x, t, u[x], u) for x in rows], dtype=float)
+
+    def jacobian(self, t: float, u: NDArray[np.float64], rows) -> NDArray[np.float64]:
+        """Derivative of ``field(t, u, rows)`` in ``u[rows]`` by forward differences."""
+        f0 = self.field(t, u, rows)
+        jac = np.empty((len(rows), len(rows)))
+        for k, j in enumerate(rows):
+            h = 1e-7 * max(1.0, abs(u[j]))
+            up = u.copy()
+            up[j] += h
+            jac[:, k] = (self.field(t, up, rows) - f0) / h
+        return jac
+
+
+@dataclass(frozen=True)
+class _ControlFamily(MarkovianDriver):
+    """Pointwise min (``sense=+1``) or max (``sense=-1``) over the members
+    ``cost[x, k] - r[x] * y + z @ tilt[k, :, x]``.
+
+    ``cost`` is an ``(n, m)`` table, or ``ControlSet.cost_value`` for a
+    callable cost, which is then tabulated on every call and keeps the
+    forward-difference Jacobian since it may depend on ``y``.
+    """
+
+    fn: Callable = field(init=False, default=None, repr=False)
+    cost: object = field(default=None, compare=False, repr=False)
+    r: NDArray[np.float64] = field(default=None, compare=False, repr=False)
+    tilt: NDArray[np.float64] = field(default=None, compare=False, repr=False)
+    sense: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", self._at)
+
+    def _members(self, t, y, rows, drift):
+        """Member values at ``rows`` given ``y`` and ``drift = z @ tilt`` there."""
+        if callable(self.cost):
+            cost = np.array(
+                [[self.cost(t, yi, x, k) for k in range(len(self.tilt))]
+                 for x, yi in zip(rows.tolist(), y.tolist())]
+            ).reshape(len(rows), len(self.tilt))
+        else:
+            cost = self.cost[rows]
+        return cost - (self.r[rows] * y)[:, None] + drift
+
+    def _at(self, x, t, y, z):
+        vals = self._members(t, np.array([y]), np.array([x]), (self.tilt[:, :, x] @ z)[None])
+        return float(vals.min() if self.sense > 0 else vals.max())
+
+    def field(self, t, u, rows):
+        vals = self._members(t, u[rows], rows, (u @ self.tilt)[:, rows].T)
+        return vals.min(axis=1) if self.sense > 0 else vals.max(axis=1)
+
+    def policy(self, u: NDArray[np.float64]) -> NDArray[np.int_]:
+        """Index of the active member at every state for the field ``u``
+        (``y = u[x]``, ``z = u``, ``t = 0``), lowest index on ties."""
+        vals = self._members(0.0, u, np.arange(u.size), (u @ self.tilt).T)
+        return vals.argmin(axis=1) if self.sense > 0 else vals.argmax(axis=1)
+
+    def jacobian(self, t, u, rows):
+        if callable(self.cost):
+            return super().jacobian(t, u, rows)
+        active = self.policy(u)[rows]
+        return self.tilt[active[:, None], rows[None, :], rows[:, None]] - np.diag(self.r[rows])
 
 
 @dataclass(frozen=True)
@@ -188,17 +259,11 @@ def affine_driver(
     rv = _as_vector(r, n, "r")
     if (rv < 0).any():
         raise InputError("discount rates r must be nonnegative")
-    diff = bq - a.q
-
-    def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
-        return float(z @ diff[:, x] + gv[x] - rv[x] * y)
-
-    return MarkovianDriver(
-        fn,
+    return _ControlFamily(
+        cost=gv[:, None],
+        r=rv,
+        tilt=(bq - a.q)[None],
         c=float(rv.max()) if n else 0.0,
-        beta_hat=0.0,
-        monotone=True,
-        time_dependent=False,
         spec={
             "type": "affine",
             "b": bq.tolist(),
@@ -242,51 +307,16 @@ def _hamiltonian(cs: ControlSet, a: RateMatrix | None, sign: int) -> MarkovianDr
     ref = cs.reference if a is None else a
     if ref.n != cs.reference.n:
         raise DimensionMismatchError("reference dimension differs from control set")
-    diffs = np.stack([m.q - ref.q for m in cs.matrices])  # (m, n, n)
-    m = cs.size
-
-    def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
-        vals = np.array(
-            [cs.cost_value(t, y, x, u) + z @ diffs[u, :, x] for u in range(m)]
-        )
-        return float(vals.min() if sign > 0 else vals.max())
-
-    return MarkovianDriver(
-        fn,
+    return _ControlFamily(
+        cost=cs.cost_value if callable(cs.cost) else cs.cost,
+        r=np.zeros(ref.n),
+        tilt=np.stack([m.q - ref.q for m in cs.matrices]),
+        sense=sign,
         c=float(cs.c),
         beta_hat=float(cs.beta_hat),
-        monotone=True,
         time_dependent=bool(cs.cost_time_dependent),
         spec={"type": "hamiltonian_inf" if sign > 0 else "hamiltonian_sup"},
     )
-
-
-def hamiltonian_argmin(
-    cs: ControlSet, a: RateMatrix, x: int, t: float, y: float, z: object
-) -> int:
-    """Index of the control attaining the lower Hamiltonian (lowest index on ties)."""
-    zv = np.asarray(z, dtype=float)
-    vals = np.array(
-        [
-            cs.cost_value(t, y, x, u) + zv @ (cs.matrices[u].q[:, x] - a.q[:, x])
-            for u in range(cs.size)
-        ]
-    )
-    return int(np.argmin(vals))
-
-
-def hamiltonian_argmax(
-    cs: ControlSet, a: RateMatrix, x: int, t: float, y: float, z: object
-) -> int:
-    """Index of the control attaining the upper Hamiltonian (lowest index on ties)."""
-    zv = np.asarray(z, dtype=float)
-    vals = np.array(
-        [
-            cs.cost_value(t, y, x, u) + zv @ (cs.matrices[u].q[:, x] - a.q[:, x])
-            for u in range(cs.size)
-        ]
-    )
-    return int(np.argmax(vals))
 
 
 def reliability_driver(
@@ -303,23 +333,13 @@ def reliability_driver(
     rv = _as_vector(loss_rates, a.n, "loss_rates")
     if (rv < 0).any():
         raise InputError("loss rates must be nonnegative")
-    if control_matrices:
-        diffs = np.stack([m.q - a.q for m in control_matrices])
-
-        def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
-            return float(-rv[x] * y + max(z @ diffs[u, :, x] for u in range(len(diffs))))
-
-    else:
-
-        def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
-            return float(-rv[x] * y)
-
-    return MarkovianDriver(
-        fn,
+    mats = list(control_matrices) if control_matrices else [a]
+    return _ControlFamily(
+        cost=np.zeros((a.n, len(mats))),
+        r=rv,
+        tilt=np.stack([m.q - a.q for m in mats]),
+        sense=-1,
         c=float(rv.max()),
-        beta_hat=0.0,
-        monotone=True,
-        time_dependent=False,
         spec={
             "type": "reliability",
             "loss_rates": rv.tolist(),
@@ -338,17 +358,10 @@ def shortest_path_driver(
     expected remaining time to the destination.
     """
     mats = list(control_matrices) if control_matrices else [a]
-    diffs = np.stack([m.q - a.q for m in mats])
-
-    def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
-        return float(min(z @ diffs[u, :, x] for u in range(len(diffs))) + 1.0)
-
-    return MarkovianDriver(
-        fn,
-        c=0.0,
-        beta_hat=0.0,
-        monotone=True,
-        time_dependent=False,
+    return _ControlFamily(
+        cost=np.ones((a.n, len(mats))),
+        r=np.zeros(a.n),
+        tilt=np.stack([m.q - a.q for m in mats]),
         spec={"type": "shortest_path"},
     )
 
@@ -480,6 +493,8 @@ def _find_witness(d, a, gamma, x, t, y, z, zp, slack):
         return True, _scatter(lamJ, idx, a.n), ""
 
     # exact feasibility over the admissible box (widened by the slack)
+    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
+
     lo = np.empty(len(idx))
     hi = np.empty(len(idx))
     for k, j in enumerate(idx):

@@ -229,20 +229,16 @@ def worst_case_exp_moment(
             )
         h = np.ones(n)
         h[free] = hf
+        cols = a.q[:, free]
+        rise = h[:, None] - h[free]  # rise[j, k] = h[j] - h[free[k]]
+        block = np.where(
+            rise > _TIE, cols / gamma, np.where(rise < -_TIE, gamma * cols, policy[:, free])
+        )
+        diag = (free, np.arange(free.size))
+        block[diag] = 0.0
+        block[diag] = -block.sum(axis=0)
         new = policy.copy()
-        for x in free:
-            col = a.q[:, x]
-            off = 0.0
-            for j in range(n):
-                if j == x or col[j] == 0.0:
-                    continue
-                c = h[j] - h[x]
-                if c > _TIE:
-                    new[j, x] = col[j] / gamma
-                elif c < -_TIE:
-                    new[j, x] = gamma * col[j]
-                off += new[j, x]
-            new[x, x] = -off
+        new[:, free] = block
         if np.array_equal(new, policy):
             break
         policy = new

@@ -238,12 +238,13 @@ def solve_homogeneous(
 ) -> SolutionField:
     """Solve the stationary algebraic system for time-independent data.
 
-    Damped Newton iteration with finite-difference Jacobian on the
-    non-target coordinates, started from the linear solve with the driver
-    frozen at the trivially extended boundary data (exact when the driver
-    ignores its ``y`` and ``z`` arguments).  If Newton stalls, a fixed-point
-    sweep alternating driver evaluation with the implicit linear solve of
-    the absorbed system takes over.
+    Damped Newton iteration on the non-target coordinates, started from the
+    linear solve with the driver frozen at ``y = 0, z = 0`` (exact when the
+    driver ignores its ``y`` and ``z`` arguments).  The driver enters only
+    through ``field`` and ``jacobian``; built-in drivers give the active
+    member's exact Jacobian, which makes Newton Howard's policy iteration.
+    If Newton stalls, a fixed-point sweep alternating driver evaluation with
+    the implicit linear solve of the absorbed system takes over.
 
     Returns
     -------
@@ -278,8 +279,7 @@ def solve_homogeneous(
         return u
 
     def residual_vec(u: NDArray[np.float64]) -> NDArray[np.float64]:
-        fvals = np.array([p.driver.eval(i, 0.0, u[i], u) for i in free])
-        return fvals + aT[free] @ u
+        return p.driver.field(0.0, u, free) + aT[free] @ u
 
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float)
@@ -288,7 +288,7 @@ def solve_homogeneous(
         u = phi.copy()
         u[free] = u0[free]
     else:
-        frozen = np.array([p.driver.eval(i, 0.0, phi[i] if i in p.target else 0.0, np.zeros(n)) for i in free])
+        frozen = p.driver.field(0.0, np.zeros(n), free)
         uf = solve_or_none(aT_ff, -frozen - boundary_flow)
         u = assemble(uf) if uf is not None else phi.copy()
 
@@ -302,8 +302,7 @@ def solve_homogeneous(
         if resid < tol:
             break
         iterations += 1
-        J = _fd_jacobian(residual_vec, u, free)
-        step = solve_or_none(J, -F)
+        step = solve_or_none(p.driver.jacobian(0.0, u, free) + aT_ff, -F)
         if step is None:
             stalled = True
             break
@@ -341,8 +340,7 @@ def _picard(p, u, residual_vec, assemble, aT_ff, boundary_flow, tol, max_sweeps=
     best = float(np.abs(residual_vec(u)).max())
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        fvals = np.array([p.driver.eval(i, 0.0, u[i], u) for i in free])
-        uf = solve_or_none(aT_ff, -fvals - boundary_flow)
+        uf = solve_or_none(aT_ff, -p.driver.field(0.0, u, free) - boundary_flow)
         if uf is None:
             break
         u = assemble(uf)
@@ -352,19 +350,6 @@ def _picard(p, u, residual_vec, assemble, aT_ff, boundary_flow, tol, max_sweeps=
         if r < tol:
             return u, residual_vec(u), sweeps
     return best_u, residual_vec(best_u), sweeps
-
-
-
-def _fd_jacobian(residual_vec, u, free):
-    F0 = residual_vec(u)
-    m = free.size
-    J = np.empty((m, m))
-    for k, j in enumerate(free):
-        h = 1e-7 * max(1.0, abs(u[j]))
-        up = u.copy()
-        up[j] += h
-        J[:, k] = (residual_vec(up) - F0) / h
-    return J
 
 
 def solve_backward_grid(
@@ -413,8 +398,7 @@ def solve_backward_grid(
     def slope(t: float, w: NDArray[np.float64]) -> NDArray[np.float64]:
         # w is the field at time t, advanced in s = horizon - t
         dw = ahatT @ w
-        for i in free:
-            dw[i] += p.driver.eval(i, t, w[i], w)
+        dw[free] += p.driver.field(t, w, free)
         dw[tgt] = -boundary_rate(t)
         return dw
 

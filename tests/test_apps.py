@@ -18,7 +18,7 @@ from chainbsde import (
     walk_matrix,
 )
 
-from conftest import enumerate_policy_values, spine_chain
+from conftest import enumerate_policy_values, scaled_member, spine_chain
 
 
 def two_speed_setup():
@@ -159,6 +159,22 @@ class TestSolveControl:
             table = enumerate_policy_values([m.q for m in mats], cost, {0}, phi)
             best = np.min(np.stack([v for _pol, v in table]), axis=0)
             assert np.abs(sol.value.u - best).max() < 1e-8
+
+    def test_callable_cost_matches_its_table(self):
+        rng = np.random.default_rng(29)
+        n = 12
+        ref = spine_chain(rng, n)
+        mats = (ref, scaled_member(rng, ref), scaled_member(rng, ref))
+        table = rng.uniform(0.1, 2.0, (n, 3))
+        labels = ("u0", "u1", "u2")
+        phi = rng.normal(size=n)
+        by_table = solve_control(ControlSet(labels, mats, table, ref), ref, {0}, phi)
+        cs = ControlSet(
+            labels, mats, lambda t, y, x, u: table[x, u], ref, cost_time_dependent=False
+        )
+        by_callable = solve_control(cs, ref, {0}, phi)
+        assert np.abs(by_callable.value.u - by_table.value.u).max() < 1e-10
+        assert by_callable.policy_indices == by_table.policy_indices
 
     def test_reference_mismatch_rejected(self):
         cs, _fast = two_speed_setup()

@@ -17,6 +17,7 @@ from chainbsde import (
     reference_matrix,
     solve_circuit,
 )
+from chainbsde.circuits import circuit_driver
 
 from conftest import resistor_nodal_oracle
 
@@ -258,6 +259,17 @@ class TestDiodeCircuits:
             """
         )
         self.check_against_oracle(c)
+
+
+class TestCircuitDriver:
+    def test_field_matches_the_per_node_loop(self):
+        c = parse_netlist(BRIDGE)
+        d = circuit_driver(c)
+        rng = np.random.default_rng(5)
+        z = rng.normal(0.0, 0.5, size=c.n)
+        rows = np.array(free_nodes(c))
+        loop = np.array([d.eval(x, 0.0, z[x], z) for x in rows])
+        assert np.abs(d.field(0.0, z, rows) - loop).max() <= 1e-12 * max(1.0, np.abs(loop).max())
 
 
 class TestOracleGuards:

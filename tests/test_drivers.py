@@ -1,18 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainbsde import (
     ControlSet,
     DimensionMismatchError,
     EmptyControlSetError,
     GammaNotCertifiableError,
+    HittingProblem,
     InputError,
+    MarkovianDriver,
+    NoConvergenceError,
     NotCertifiedError,
     affine_driver,
     check_balanced,
     constant_driver,
-    hamiltonian_argmax,
-    hamiltonian_argmin,
     hamiltonian_inf,
     hamiltonian_sup,
     incremental_ratio,
@@ -21,12 +29,13 @@ from chainbsde import (
     reliability_driver,
     shift_invariance_defect,
     shortest_path_driver,
+    solve_homogeneous,
     truncate_driver,
     validate_rate_matrix,
     zero_driver,
 )
 
-from conftest import recurrent_chain, scaled_member, spine_chain
+from conftest import affine_parts, recurrent_chain, scaled_member, spine_chain
 
 
 @pytest.fixture
@@ -166,8 +175,8 @@ class TestHamiltonians:
             fhi = hi.eval(x, 0.0, y, z)
             assert flo == pytest.approx(min(vals), abs=1e-12)
             assert fhi == pytest.approx(max(vals), abs=1e-12)
-            umin = hamiltonian_argmin(cs, a, x, 0.0, y, z)
-            umax = hamiltonian_argmax(cs, a, x, 0.0, y, z)
+            umin = int(lo.policy(z)[x])
+            umax = int(hi.policy(z)[x])
             assert vals[umin] == pytest.approx(flo, abs=1e-12)
             assert vals[umax] == pytest.approx(fhi, abs=1e-12)
 
@@ -177,8 +186,8 @@ class TestHamiltonians:
             labels=("first", "second"), matrices=(a, a),
             cost=np.ones((2, 2)), reference=a,
         )
-        assert hamiltonian_argmin(cs, a, 0, 0.0, 0.0, np.zeros(2)) == 0
-        assert hamiltonian_argmax(cs, a, 0, 0.0, 0.0, np.zeros(2)) == 0
+        assert hamiltonian_inf(cs, a).policy(np.zeros(2))[0] == 0
+        assert hamiltonian_sup(cs, a).policy(np.zeros(2))[0] == 0
 
 
 class TestSpecialDrivers:
@@ -311,3 +320,87 @@ class TestBalance:
         # certificate at a lower level does not cover a higher request
         with pytest.raises(NotCertifiedError):
             lipschitz_bound(d, a, gamma=0.9, certificate=cert)
+
+    def test_import_leaves_the_lp_solver_unloaded(self):
+        # scipy.optimize costs a large share of the import and only the LP
+        # fallback of check_balanced needs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, chainbsde; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+def family_drivers(rng, n):
+    """Every built-in control-family driver on one random spine chain."""
+    a = spine_chain(rng, n)
+    mats = tuple(scaled_member(rng, a) for _ in range(3))
+    cs = ControlSet(("u0", "u1", "u2"), mats, rng.uniform(0.5, 2.0, size=(n, 3)), a)
+    b, g, r = affine_parts(rng, a)
+    loss = rng.uniform(0.05, 0.5, size=n)
+    return a, {
+        "affine": affine_driver(a, b, g, r),
+        "hamiltonian_inf": hamiltonian_inf(cs),
+        "hamiltonian_sup": hamiltonian_sup(cs),
+        "reliability": reliability_driver(a, loss),
+        "reliability_controlled": reliability_driver(a, loss, [a, *mats]),
+        "shortest_path": shortest_path_driver(a, [a, *mats]),
+    }
+
+
+class TestControlFamilies:
+    """The vectorized family path against the per-state scalar path."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+    def test_field_and_jacobian_match_the_scalar_path(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a, drivers = family_drivers(rng, n)
+        u = rng.normal(0.0, 2.0, size=n)
+        rows = np.arange(1, n)
+        for d in drivers.values():
+            loop = np.array([d.eval(x, 0.0, u[x], u) for x in rows])
+            assert np.abs(d.field(0.0, u, rows) - loop).max() <= 1e-12
+            # away from ties: no difference step switches the active member
+            active = d.policy(u)
+            for j in rows:
+                up = u.copy()
+                up[j] += 1e-7 * max(1.0, abs(u[j]))
+                assume(np.array_equal(d.policy(up), active))
+            fd = MarkovianDriver.jacobian(d, 0.0, u, rows)
+            assert np.abs(d.jacobian(0.0, u, rows) - fd).max() <= 1e-6
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+    def test_solve_matches_the_opaque_driver(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a, drivers = family_drivers(rng, n)
+        phi = rng.uniform(0.0, 1.0, size=n)
+        for d in drivers.values():
+            fast = solve_homogeneous(HittingProblem(a, {0}, phi, d), tol=1e-12)
+            u = fast.u
+            scalar = [d.eval(x, 0.0, u[x], u) + a.q[:, x] @ u for x in range(1, n)]
+            assert np.abs(scalar).max() <= 1e-10
+            opaque = MarkovianDriver(d.fn, c=d.c)
+            try:
+                slow = solve_homogeneous(HittingProblem(a, {0}, phi, opaque), tol=1e-12)
+            except NoConvergenceError:
+                # forward differences can stall at a kink of the max; the
+                # scalar residual above still certifies the fast solution
+                continue
+            assert np.abs(u - slow.u).max() <= 1e-10
+
+    def test_exact_jacobian_solves_at_a_kink(self):
+        # controlled reliability with a kink of the max near the solution,
+        # where the forward-difference path stalls in NoConvergenceError
+        rng = np.random.default_rng(1)
+        a, drivers = family_drivers(rng, 4)
+        phi = rng.uniform(0.0, 1.0, size=4)
+        d = drivers["reliability_controlled"]
+        sol = solve_homogeneous(HittingProblem(a, {0}, phi, d))
+        u = sol.u
+        scalar = [d.eval(x, 0.0, u[x], u) + a.q[:, x] @ u for x in range(1, 4)]
+        assert np.abs(scalar).max() < 1e-10

@@ -22,6 +22,31 @@ def two_state(lam: float):
     return validate_rate_matrix([[-lam, 0.0], [lam, 0.0]])
 
 
+def loop_worst_case(a, gamma, target, beta, tie=1e-14):
+    """Column-box policy iteration written state by state: push each
+    intensity to the box end that raises the moment, keep it on ties."""
+    free = [x for x in range(a.n) if x not in target]
+    member = a.q.copy()
+    for _ in range(100):
+        h = resolvent_oracle(member, target, beta)
+        new = member.copy()
+        for x in free:
+            off = 0.0
+            for j in range(a.n):
+                if j == x or a.q[j, x] == 0.0:
+                    continue
+                if h[j] - h[x] > tie:
+                    new[j, x] = a.q[j, x] / gamma
+                elif h[j] - h[x] < -tie:
+                    new[j, x] = gamma * a.q[j, x]
+                off += new[j, x]
+            new[x, x] = -off
+        if np.abs(new - member).max() <= 1e-12:
+            break
+        member = new
+    return member, h
+
+
 class TestHittingMeans:
     def test_birth_chain_closed_form(self):
         q = validate_rate_matrix(
@@ -137,6 +162,17 @@ class TestWorstCase:
             rep = exp_moment(member, {0}, beta)
             assert rep.finite
             assert (rep.values <= wc.values + 1e-9).all()
+
+    def test_matches_the_state_by_state_rule(self):
+        for seed, n in ((51, 8), (52, 30)):
+            rng = np.random.default_rng(seed)
+            a = spine_chain(rng, n)
+            gamma = 0.7
+            beta = condition_K(a, gamma, {0}, 0.5).beta_prime
+            member, h = loop_worst_case(a, gamma, {0}, beta)
+            wc = worst_case_exp_moment(a, gamma, {0}, beta)
+            assert np.abs(wc.worst_member - member).max() <= 1e-12
+            assert np.abs(wc.values - h).max() <= 1e-12 * np.abs(h).max()
 
     def test_validation(self):
         a = two_state(1.0)
