@@ -1,19 +1,17 @@
-"""Dense solve that reports failure as None instead of warnings or errors.
+"""Dense solve that reports failure as None instead of errors.
 
 Several callers probe systems that are legitimately singular (exponents at
 or past an abscissa of convergence, policies that never absorb) and decide
-what that means themselves.  scipy's solver is noisy about those inputs: it
-raises LinAlgError on some paths, emits LinAlgWarning on ill-conditioned
-ones, and its fast diagonal path divides by zero and returns inf rather
-than raising at all.  This wrapper normalizes all three outcomes.
+what that means themselves.  An exactly singular matrix raises LinAlgError
+and a numerically singular one yields non-finite entries; both come back
+as None.  numpy's solver is used rather than ``scipy.linalg.solve``, whose
+batched solver (scipy 1.17) leaks memory on every ill-conditioned system,
+which diode Jacobians routinely are.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 __all__ = ["solve_or_none"]
@@ -24,11 +22,9 @@ def solve_or_none(
 ) -> NDArray[np.float64] | None:
     """Solution of m @ x = rhs, or None when the system is not cleanly solvable."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = scipy.linalg.solve(m, rhs)
-    except scipy.linalg.LinAlgError:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
         return None
     if not np.isfinite(x).all():
         return None

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import solve_or_none
-from .chain import RateMatrix, states_reaching, validate_rate_matrix
+from .chain import RateMatrix, _split_target, states_reaching, validate_rate_matrix
 from .drivers import (
     ControlSet,
     MarkovianDriver,
@@ -143,10 +143,12 @@ def policy_matrix(cs: ControlSet, policy) -> NDArray[np.float64]:
     for u in pol:
         if not 0 <= u < cs.size:
             raise InputError(f"control index {u} out of range [0, {cs.size})")
-    q = np.empty((n, n))
-    for x in range(n):
-        q[:, x] = cs.matrices[pol[x]].q[:, x]
-    return q
+    return _policy_generator(cs.matrices, pol)
+
+
+def _policy_generator(mats, pol) -> NDArray[np.float64]:
+    """Generator under a stationary policy: column x comes from ``mats[pol[x]]``."""
+    return np.stack([mats[k].q[:, x] for x, k in enumerate(pol)], axis=1)
 
 
 def stationary_policy_value(
@@ -160,6 +162,7 @@ def stationary_policy_value(
     goes through the stationary nonlinear solver.
     """
     _check_reference(cs, chain)
+    free, tgt = _split_target(chain, target)
     q_pol = policy_matrix(cs, policy)
     pol = [int(u) for u in policy]
 
@@ -173,17 +176,13 @@ def stationary_policy_value(
             fn, c=cs.c, beta_hat=cs.beta_hat,
             time_dependent=bool(cs.cost_time_dependent),
         )
-        p = HittingProblem(chain, frozenset(target), terminal, drv)
+        p = HittingProblem(chain, frozenset(tgt.tolist()), terminal, drv)
         return solve_homogeneous(p, tol=tol).u
 
     n = chain.n
     phi = np.array(terminal, dtype=float)
     if phi.shape != (n,):
         raise DimensionMismatchError(f"terminal has shape {phi.shape}, expected ({n},)")
-    tgt = np.array(sorted(int(i) for i in target), dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[tgt] = True
-    free = np.flatnonzero(~mask)
     u = phi.copy()
     u[free] = 0.0
     if free.size == 0:
@@ -316,5 +315,5 @@ def reliability(
         value=sol,
         policy={x: labels[pol[x]] for x in range(n)},
         policy_indices=pol,
-        matrix=np.stack([mats[pol[x]].q[:, x] for x in range(n)], axis=1),
+        matrix=_policy_generator(mats, pol),
     )

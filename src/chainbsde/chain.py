@@ -44,6 +44,8 @@ __all__ = [
 _RENORM_WINDOW = 1e-9
 # Off-diagonal entries may undershoot zero by at most this before rejection.
 _OFFDIAG_SLACK = 1e-12
+# The ratio-box rule keeps the incumbent intensity where |h[j] - h[x]| is below this.
+_TIE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -386,6 +388,37 @@ def simulate_controlled_path(
         states.append(x)
         if x in tset:
             return ChainPath(tuple(times), tuple(states), t, absorbed=True)
+
+
+def _split_target(a: RateMatrix, target) -> tuple[NDArray[np.int_], NDArray[np.int_]]:
+    """Sorted free and target state indices of a nonempty, in-range target set."""
+    tset = frozenset(int(i) for i in target)
+    if not tset:
+        raise InputError("target set must be nonempty")
+    for i in tset:
+        if not 0 <= i < a.n:
+            raise InputError(f"target state {i} out of range [0, {a.n})")
+    mask = np.zeros(a.n, dtype=bool)
+    mask[list(tset)] = True
+    return np.flatnonzero(~mask), np.flatnonzero(mask)
+
+
+def _box_argmax(a: RateMatrix, gamma: float, h, cols, incumbent) -> NDArray[np.float64]:
+    """Columns ``cols`` of the member of the ratio box around ``a`` that
+    maximizes ``h @ B e_x`` column by column.
+
+    Each intensity ``q[j, x]`` goes up to ``q/gamma`` where ``h`` rises
+    toward j (``h[j] - h[x] > _TIE``), down to ``gamma*q`` where it falls,
+    and keeps ``incumbent[j, k]`` (column k is state ``cols[k]``) on ties;
+    the diagonal rebalances each column.
+    """
+    q = a.q[:, cols]
+    rise = h[:, None] - h[cols]
+    block = np.where(rise > _TIE, q / gamma, np.where(rise < -_TIE, gamma * q, incumbent))
+    diag = (cols, np.arange(len(cols)))
+    block[diag] = 0.0
+    block[diag] = -block.sum(axis=0)
+    return block
 
 
 def _check_state(i: int, n: int) -> None:

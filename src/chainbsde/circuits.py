@@ -9,9 +9,14 @@ drops.  That is exactly a stationary backward equation whose driver
 compares the implied generator with a fixed reference, here the circuit
 with every diode replaced by its zero-bias resistance V_T/I_s.
 
+One vectorized law gives every edge's current and slope, and every matrix
+here is one assembly of per-edge weights; the driver's exact Jacobian is
+the assembly of the slopes of w(V) V.
+
 ``newton_nodal`` solves the same physics directly (Kirchhoff current
-residuals, analytic Jacobian, damped Newton) with no chain machinery at
-all; the two routes agree on every netlist and validate each other.
+residuals, analytic Jacobian, damped Newton) with no chain machinery and
+no implied conductance at all; the two routes agree on every netlist and
+validate each other.
 
 Netlist format (one element per line, ``#`` starts a comment):
 
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -82,34 +87,6 @@ class Diode:
             raise InputError(f"thermal voltage must be positive, got {self.v_t!r}")
 
 
-def _current(comp, v: float) -> float:
-    """Current through the component at forward voltage v."""
-    if isinstance(comp, Resistor):
-        return v / comp.ohms
-    x = min(v / comp.v_t, _EXP_CAP)
-    return comp.i_s * math.expm1(x)
-
-
-def _dcurrent(comp, v: float) -> float:
-    if isinstance(comp, Resistor):
-        return 1.0 / comp.ohms
-    x = min(v / comp.v_t, _EXP_CAP)
-    return comp.i_s / comp.v_t * math.exp(x)
-
-
-def _conductance(comp, v: float) -> float:
-    """Implied conductance I(v)/v, with the removable v = 0 singularity
-    filled by the series (I_s/V_T)(1 + x/2 + x^2/6), x = v/V_T."""
-    if isinstance(comp, Resistor):
-        return 1.0 / comp.ohms
-    x = v / comp.v_t
-    if abs(x) < 1e-6:
-        w = comp.i_s / comp.v_t * (1.0 + x / 2.0 + x * x / 6.0)
-    else:
-        w = comp.i_s * math.expm1(min(x, _EXP_CAP)) / (x * comp.v_t)
-    return max(w, _W_FLOOR)
-
-
 @dataclass(frozen=True)
 class CircuitSpec:
     """A circuit as a node-indexed graph with component edges.
@@ -117,11 +94,22 @@ class CircuitSpec:
     ``edges`` entries are (a, b, Resistor | Diode) with node indices; the
     diode's forward direction is a -> b.  ``sources`` pins node potentials
     (the absorbing set of the chain correspondence).
+
+    Construction lays the edges out as read-only arrays in edge order:
+    ``tail`` and ``head`` (a and b), the ``diode`` mask, ``g0`` (zero-bias
+    conductance, 1/R or I_s/V_T), ``i_s`` and ``v_t``.  Resistors carry
+    I_s = 0 and V_T = inf, so x = V/V_T vanishes on them.
     """
 
     nodes: tuple[str, ...]
     edges: tuple
     sources: dict[int, float]
+    tail: NDArray[np.int_] = field(init=False, repr=False, compare=False, default=None)
+    head: NDArray[np.int_] = field(init=False, repr=False, compare=False, default=None)
+    diode: NDArray[np.bool_] = field(init=False, repr=False, compare=False, default=None)
+    g0: NDArray[np.float64] = field(init=False, repr=False, compare=False, default=None)
+    i_s: NDArray[np.float64] = field(init=False, repr=False, compare=False, default=None)
+    v_t: NDArray[np.float64] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -164,6 +152,17 @@ class CircuitSpec:
         floating = sorted(set(range(n)) - seen)
         if floating:
             raise DisconnectedNodeError([self.nodes[i] for i in floating])
+        diode = np.array([isinstance(comp, Diode) for _a, _b, comp in edges], dtype=bool)
+        params = [
+            (comp.i_s / comp.v_t, comp.i_s, comp.v_t) if d else (1.0 / comp.ohms, 0.0, math.inf)
+            for (_a, _b, comp), d in zip(edges, diode)
+        ]
+        ends = np.array([(a, b) for a, b, _comp in edges], dtype=np.int64).reshape(-1, 2)
+        cols = np.array(params, dtype=float).reshape(-1, 3)
+        names = ("tail", "head", "diode", "g0", "i_s", "v_t")
+        for name, arr in zip(names, (*ends.T.copy(), diode, *cols.T.copy())):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -215,63 +214,88 @@ def parse_netlist(text: str) -> CircuitSpec:
     return CircuitSpec(nodes=tuple(names), edges=tuple(edges), sources=sources)
 
 
-def _assemble(c: CircuitSpec, weight_of) -> NDArray[np.float64]:
+def _edge_law(c: CircuitSpec, u):
+    """Forward drop ``v``, current ``I(v)`` and slope ``dI/dv`` of every edge
+    at potentials ``u``: Ohm's law, or Shockley's with the exponent clamped
+    at ``_EXP_CAP``."""
+    u = np.asarray(u, dtype=float)
+    v = u[c.tail] - u[c.head]
+    x = np.minimum(v / c.v_t, _EXP_CAP)
+    return v, np.where(c.diode, c.i_s * np.expm1(x), c.g0 * v), c.g0 * np.exp(x)
+
+
+def _implied(c: CircuitSpec, u):
+    """Forward drop ``v``, implied conductance ``w = I(v)/v`` and the exact
+    derivative of ``w * v`` of every edge at potentials ``u``.
+
+    Where ``|x| < 1e-6``, x = v/V_T (on every resistor, giving w = 1/R), the
+    removable v = 0 singularity is filled by the series
+    (I_s/V_T)(1 + x/2 + x^2/6).  Diode conductances are floored at
+    ``_W_FLOOR`` (there ``w * v`` has slope ``_W_FLOOR``), and past
+    ``_EXP_CAP`` the clamped current, hence ``w * v``, is constant.
+    """
+    v, cur, slope = _edge_law(c, u)
+    x = v / c.v_t
+    series = np.abs(x) < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(series, c.g0 * (1.0 + x / 2.0 + x * x / 6.0), cur / v)
+    dwv = np.where(series, c.g0 * (1.0 + x + x * x / 2.0), np.where(x < _EXP_CAP, slope, 0.0))
+    floor = c.diode & (w < _W_FLOOR)
+    return v, np.where(floor, _W_FLOOR, w), np.where(floor, _W_FLOOR, dwv)
+
+
+def _assemble(c: CircuitSpec, w: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Symmetric generator with rate ``w[e]`` both ways along every edge."""
     q = np.zeros((c.n, c.n))
-    for a, b, comp in c.edges:
-        w = weight_of(a, b, comp)
-        q[b, a] += w
-        q[a, b] += w
-    q[np.diag_indices(c.n)] = 0.0
-    q[np.diag_indices(c.n)] -= q.sum(axis=0)
+    np.add.at(q, (np.r_[c.head, c.tail], np.r_[c.tail, c.head]), np.r_[w, w])
+    q[np.diag_indices(c.n)] = -q.sum(axis=0)
     return q
 
 
 def reference_matrix(c: CircuitSpec) -> RateMatrix:
     """Generator of the all-resistor surrogate: each diode contributes its
     zero-bias conductance I_s/V_T (the small-signal limit at V = 0)."""
-
-    def weight(a, b, comp):
-        if isinstance(comp, Resistor):
-            return 1.0 / comp.ohms
-        return comp.i_s / comp.v_t
-
-    return validate_rate_matrix(_assemble(c, weight), state_names=c.nodes)
+    return validate_rate_matrix(_assemble(c, c.g0), state_names=c.nodes)
 
 
 def implied_matrix(c: CircuitSpec, v) -> RateMatrix:
     """Generator with conductances implied by the potentials ``v``."""
-    v = np.asarray(v, dtype=float)
-
-    def weight(a, b, comp):
-        return _conductance(comp, v[a] - v[b])
-
-    return validate_rate_matrix(_assemble(c, weight), state_names=c.nodes)
+    _, w, _ = _implied(c, v)
+    return validate_rate_matrix(_assemble(c, w), state_names=c.nodes)
 
 
 @dataclass(frozen=True)
 class _CircuitDriver(MarkovianDriver):
-    """Circuit driver whose field assembles the implied generator once per call."""
+    """Driver ``z @ (A^z - A) e_x`` computed over the circuit's edges, with
+    its exact Jacobian; ``eval`` reads one row of ``field``."""
 
-    gap: Callable[[NDArray[np.float64]], NDArray[np.float64]] | None = None
+    fn: Callable = field(init=False, default=None, repr=False)
+    circuit: CircuitSpec = field(default=None, compare=False, repr=False)
+    reference: NDArray[np.float64] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", self._at)
+
+    def _at(self, x, t, y, z):
+        return float(self.field(t, z, np.array([x]))[0])
 
     def field(self, t, u, rows):
-        return self.gap(u)[rows]
+        # (A^z)^T z is the net implied current w v into each node
+        c = self.circuit
+        v, w, _ = _implied(c, u)
+        inflow = np.bincount(c.head, w * v, c.n) - np.bincount(c.tail, w * v, c.n)
+        return inflow[rows] - self.reference[:, rows].T @ u
+
+    def jacobian(self, t, u, rows):
+        *_, dwv = _implied(self.circuit, u)
+        return (_assemble(self.circuit, dwv) - self.reference)[np.ix_(rows, rows)].T
 
 
 def circuit_driver(c: CircuitSpec, reference: RateMatrix | None = None) -> MarkovianDriver:
     """Driver ``z @ (A^z - A) e_x``: the gap between the implied-conductance
     generator at potentials z and the fixed all-resistor reference."""
     a = reference_matrix(c) if reference is None else reference
-    aq = a.q
-
-    def gap(z: NDArray[np.float64]) -> NDArray[np.float64]:
-        az = _assemble(c, lambda i, j, comp: _conductance(comp, z[i] - z[j]))
-        return (az - aq).T @ z
-
-    def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
-        return float(gap(z)[x])
-
-    return _CircuitDriver(fn, spec={"type": "diode_circuit"}, gap=gap)
+    return _CircuitDriver(circuit=c, reference=a.q, spec={"type": "diode_circuit"})
 
 
 def solve_circuit(c: CircuitSpec, tol: float = 1e-10, max_iter: int = 200) -> SolutionField:
@@ -306,30 +330,13 @@ def newton_nodal(
     v[free] = 0.0
     if free.size == 0:
         return v
-    pos = {int(x): k for k, x in enumerate(free)}
 
     def residual(vv):
-        out = np.zeros(n)
-        for a, b, comp in c.edges:
-            cur = _current(comp, vv[a] - vv[b])
-            out[a] += cur
-            out[b] -= cur
-        return out[free]
+        return kirchhoff_residuals(c, vv)[free]
 
     def jacobian(vv):
-        J = np.zeros((free.size, free.size))
-        for a, b, comp in c.edges:
-            g = _dcurrent(comp, vv[a] - vv[b])
-            ia, ib = pos.get(a), pos.get(b)
-            if ia is not None:
-                J[ia, ia] += g
-                if ib is not None:
-                    J[ia, ib] -= g
-            if ib is not None:
-                J[ib, ib] += g
-                if ia is not None:
-                    J[ib, ia] -= g
-        return J
+        *_, slope = _edge_law(c, vv)
+        return -_assemble(c, slope)[np.ix_(free, free)]
 
     F = residual(v)
     for it in range(1, max_iter + 1):
@@ -358,17 +365,12 @@ def newton_nodal(
 
 def edge_currents(c: CircuitSpec, v) -> list[tuple[int, int, float]]:
     """Per-edge currents (a, b, amps flowing a -> b) at potentials ``v``."""
-    v = np.asarray(v, dtype=float)
-    return [(a, b, _current(comp, v[a] - v[b])) for a, b, comp in c.edges]
+    _, cur, _ = _edge_law(c, v)
+    return [(a, b, i) for (a, b, _comp), i in zip(c.edges, cur.tolist())]
 
 
 def kirchhoff_residuals(c: CircuitSpec, v) -> NDArray[np.float64]:
     """Net current out of each node at potentials ``v``; zero off the
     sources when ``v`` solves the circuit."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(c.n)
-    for a, b, comp in c.edges:
-        cur = _current(comp, v[a] - v[b])
-        out[a] += cur
-        out[b] -= cur
-    return out
+    _, cur, _ = _edge_law(c, v)
+    return np.bincount(c.tail, cur, c.n) - np.bincount(c.head, cur, c.n)

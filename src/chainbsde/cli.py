@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .apps import reliability, shortest_path_times, solve_control
+from .apps import _policy_generator, reliability, shortest_path_times, solve_control
 from .chain import validate_rate_matrix
 from .circuits import (
     implied_matrix,
@@ -209,9 +209,8 @@ def _cmd_app(args, argv, t0) -> int:
         if paths_n:
             mats = [g.walk] + list(g.speedups)
             pol = shortest_path_driver(g.walk, mats).policy(u)
-            q_eff = np.stack([mats[k].q[:, x] for x, k in enumerate(pol)], axis=1)
             mcp = McProblem(
-                chain=validate_rate_matrix(q_eff),
+                chain=validate_rate_matrix(_policy_generator(mats, pol)),
                 target=frozenset({g.target}), phi=np.zeros(g.n), running=np.ones(g.n),
             )
             _append_mc(meta, columns, rows, mcp, u, paths_n, args.seed)

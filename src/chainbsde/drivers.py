@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import RateMatrix, max_gamma
+from .chain import RateMatrix, _box_argmax, max_gamma
 from .errors import (
     DimensionMismatchError,
     EmptyControlSetError,
@@ -371,19 +371,18 @@ def measure_envelope_driver(a: RateMatrix, gamma: float) -> MarkovianDriver:
 
     The supremum ranges over matrices whose off-diagonal columns stay within
     a factor ``[gamma, 1/gamma]`` of the reference, the Markov members of
-    the gamma measure family.  Closed form:
+    the gamma measure family.  It is attained at ``B*(z)``, the ratio-box
+    member that ``worst_case_exp_moment`` also picks (the reference on
+    ties), and has the closed form
     ``sum_{j != x} q[j, x] * ((1/gamma - 1) (z_j - z_x)^+ + (1 - gamma) (z_x - z_j)^+)``.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must lie in (0, 1], got {gamma!r}")
-    up = 1.0 / gamma - 1.0
-    down = 1.0 - gamma
 
     def fn(x: int, t: float, y: float, z: NDArray[np.float64]) -> float:
-        col = np.maximum(a.q[:, x], 0.0)
-        d = z - z[x]
-        d[x] = 0.0
-        return float(np.dot(col, up * np.maximum(d, 0.0) + down * np.maximum(-d, 0.0)))
+        col = _box_argmax(a, gamma, z, [x], a.q[:, [x]])[:, 0]
+        # columns sum to zero, so recentring z changes nothing but rounding
+        return float((z - z[x]) @ (col - a.q[:, x]))
 
     return MarkovianDriver(
         fn,

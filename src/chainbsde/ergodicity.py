@@ -26,7 +26,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import solve_or_none
-from .chain import RateMatrix, states_reaching, validate_rate_matrix
+from .chain import (
+    RateMatrix,
+    _box_argmax,
+    _split_target,
+    states_reaching,
+    validate_rate_matrix,
+)
 from .errors import InputError, NoFiniteExponentError, SingularSystemError
 
 __all__ = [
@@ -38,9 +44,6 @@ __all__ = [
     "condition_K",
     "sample_box_member",
 ]
-
-_TIE = 1e-14  # keep the incumbent intensity when |h_j - h_x| is below this
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -108,18 +111,6 @@ class ConditionK:
             return math.inf
 
 
-def _split(a: RateMatrix, target) -> tuple[NDArray[np.int_], NDArray[np.int_]]:
-    tset = frozenset(int(i) for i in target)
-    if not tset:
-        raise InputError("target set must be nonempty")
-    for i in tset:
-        if not 0 <= i < a.n:
-            raise InputError(f"target state {i} out of range [0, {a.n})")
-    mask = np.zeros(a.n, dtype=bool)
-    mask[list(tset)] = True
-    return np.flatnonzero(~mask), np.flatnonzero(mask)
-
-
 def expected_hitting_times(a: RateMatrix, target) -> NDArray[np.float64]:
     """Mean time to reach the target from every state (zero on the target).
 
@@ -131,7 +122,7 @@ def expected_hitting_times(a: RateMatrix, target) -> NDArray[np.float64]:
     SingularSystemError
         If some state cannot reach the target (the mean is infinite there).
     """
-    free, _tgt = _split(a, target)
+    free, _tgt = _split_target(a, target)
     n = a.n
     m = np.zeros(n)
     if free.size == 0:
@@ -180,7 +171,7 @@ def exp_moment(a: RateMatrix, target, beta: float) -> MomentReport:
     beta = float(beta)
     if not beta > 0.0:
         raise InputError(f"beta must be positive, got {beta!r}")
-    free, tgt = _split(a, target)
+    free, tgt = _split_target(a, target)
     if free.size == 0:
         return MomentReport(beta, np.ones(a.n), True)
     hf = _resolvent_solve(a.q, free, tgt, beta)
@@ -212,7 +203,7 @@ def worst_case_exp_moment(
         raise InputError(f"beta must be positive, got {beta!r}")
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must be in (0, 1], got {gamma!r}")
-    free, tgt = _split(a, target)
+    free, tgt = _split_target(a, target)
     if free.size == 0:
         return MomentReport(beta, np.ones(a.n), True, worst_case=True, gamma=gamma)
 
@@ -229,16 +220,8 @@ def worst_case_exp_moment(
             )
         h = np.ones(n)
         h[free] = hf
-        cols = a.q[:, free]
-        rise = h[:, None] - h[free]  # rise[j, k] = h[j] - h[free[k]]
-        block = np.where(
-            rise > _TIE, cols / gamma, np.where(rise < -_TIE, gamma * cols, policy[:, free])
-        )
-        diag = (free, np.arange(free.size))
-        block[diag] = 0.0
-        block[diag] = -block.sum(axis=0)
         new = policy.copy()
-        new[:, free] = block
+        new[:, free] = _box_argmax(a, gamma, h, free, policy[:, free])
         if np.array_equal(new, policy):
             break
         policy = new
@@ -319,7 +302,7 @@ def condition_K(
     if not bt > 0.0:
         raise InputError(f"beta_tilde must be positive, got {bt!r}")
     beta2 = (1.0 + beta) * (1.0 + bt) - 1.0
-    free, _tgt = _split(a, target)
+    free, _tgt = _split_target(a, target)
 
     note = (
         "k = sup_x h(x; beta') * max(1, ((1+beta)/beta')^(1+beta)"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import RateMatrix, states_reaching, validate_rate_matrix
+from .chain import RateMatrix, _split_target, states_reaching, validate_rate_matrix
 from .errors import (
     DimensionMismatchError,
     InputError,
@@ -57,13 +57,8 @@ class McProblem:
 
     def __post_init__(self):
         n = self.chain.n
-        tset = frozenset(int(i) for i in self.target)
-        if not tset:
-            raise InputError("target set must be nonempty")
-        for i in tset:
-            if not 0 <= i < n:
-                raise InputError(f"target state {i} out of range [0, {n})")
-        object.__setattr__(self, "target", tset)
+        _free, tgt = _split_target(self.chain, self.target)
+        object.__setattr__(self, "target", frozenset(tgt.tolist()))
         object.__setattr__(self, "phi", _vec(self.phi, n, "phi"))
         object.__setattr__(
             self, "running", _vec(self.running, n, "running", default=0.0)
@@ -71,7 +66,7 @@ class McProblem:
         object.__setattr__(
             self, "discount", _vec(self.discount, n, "discount", default=0.0)
         )
-        reach = states_reaching(self.chain, tset)
+        reach = states_reaching(self.chain, self.target)
         if not reach.all():
             raise UnreachableTargetError(
                 [int(i) for i in np.flatnonzero(~reach)]
@@ -218,13 +213,9 @@ def _jump_tables(q: NDArray[np.float64]):
     probs[active] /= lam[active, None]
     cum = np.cumsum(probs, axis=1)
     cum[active, -1] = 1.0
-    remap = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        nxt = n - 1
-        for j in range(n - 1, -1, -1):
-            if probs[i, j] > 0.0:
-                nxt = j
-            remap[i, j] = nxt
+    # remap[i, j]: the least k >= j with probs[i, k] > 0, else n - 1
+    marks = np.where(probs > 0.0, np.arange(n), n - 1)
+    remap = np.minimum.accumulate(marks[:, ::-1], axis=1)[:, ::-1]
     return lam, cum, remap
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import solve_or_none
-from .chain import RateMatrix, states_reaching
+from .chain import RateMatrix, _split_target, states_reaching
 from .drivers import MarkovianDriver
 from .errors import (
     BoundViolatedError,
@@ -94,13 +94,10 @@ class HittingProblem:
 
     def __post_init__(self):
         n = self.chain.n
-        tset = frozenset(int(i) for i in self.target)
-        if not tset:
-            raise InputError("target set must be nonempty")
-        for i in tset:
-            if not 0 <= i < n:
-                raise InputError(f"target state {i} out of range [0, {n})")
-        object.__setattr__(self, "target", tset)
+        free, tgt = _split_target(self.chain, self.target)
+        object.__setattr__(self, "target", frozenset(tgt.tolist()))
+        object.__setattr__(self, "target_states", tgt)
+        object.__setattr__(self, "free_states", free)
 
         if callable(self.terminal):
             pass
@@ -123,14 +120,8 @@ class HittingProblem:
                 f"strictly below the declared tail exponent beta={self.beta!r}"
             )
 
-        mask = np.zeros(n, dtype=bool)
-        for i in tset:
-            mask[i] = True
-        object.__setattr__(self, "target_states", np.flatnonzero(mask))
-        object.__setattr__(self, "free_states", np.flatnonzero(~mask))
-
         if self.require_reachable:
-            reach = states_reaching(self.chain, tset)
+            reach = states_reaching(self.chain, self.target)
             if not reach.all():
                 raise UnreachableTargetError([int(i) for i in np.flatnonzero(~reach)])
 

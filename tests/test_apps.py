@@ -203,6 +203,12 @@ class TestPolicyValue:
         with pytest.raises(InputError):
             policy_matrix(cs, (0, 5, 0))
 
+    @pytest.mark.parametrize("target", [{-1}, {3}, set()])
+    def test_bad_targets_rejected(self, target):
+        cs, fast = two_speed_setup()
+        with pytest.raises(InputError):
+            stationary_policy_value(cs, fast, target, np.zeros(3), (1, 1, 0))
+
     def test_non_absorbing_policy_rejected(self):
         trap = validate_rate_matrix([[0.0, 0.0], [0.0, 0.0]])
         cs = ControlSet(("stay",), (trap,), np.zeros((2, 1)), trap)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chainbsde import (
+    MarkovianDriver,
     CircuitSpec,
     Diode,
     DisconnectedNodeError,
@@ -17,7 +18,7 @@ from chainbsde import (
     reference_matrix,
     solve_circuit,
 )
-from chainbsde.circuits import circuit_driver
+from chainbsde.circuits import _EXP_CAP, _W_FLOOR, circuit_driver
 
 from conftest import resistor_nodal_oracle
 
@@ -261,15 +262,113 @@ class TestDiodeCircuits:
         self.check_against_oracle(c)
 
 
+# Every edge law branch at once: ``hi -> lo`` sits past the exponent cap,
+# ``m -> g`` (I_s/V_T below the conductance floor) on the floor, and the
+# potentials put ``k -> g`` inside the series window |V/V_T| < 1e-6.
+BRANCHES = """
+V s 2.0
+V g 0.0
+V hi 20.0
+V lo 0.0
+D hi lo 1e-9 0.025
+D s m 1e-9 0.025
+D m g 1e-18 0.025
+R m k 100
+D k g 1e-9 0.025
+R s k 1000
+"""
+
+
+def loop_current(comp, v):
+    """Per-edge current law the vectorized one replaced, kept as the reference."""
+    if isinstance(comp, Resistor):
+        return v / comp.ohms
+    return comp.i_s * math.expm1(min(v / comp.v_t, _EXP_CAP))
+
+
+def loop_conductance(comp, v):
+    """Per-edge implied conductance the vectorized one replaced."""
+    if isinstance(comp, Resistor):
+        return 1.0 / comp.ohms
+    x = v / comp.v_t
+    if abs(x) < 1e-6:
+        w = comp.i_s / comp.v_t * (1.0 + x / 2.0 + x * x / 6.0)
+    else:
+        w = comp.i_s * math.expm1(min(x, _EXP_CAP)) / (x * comp.v_t)
+    return max(w, _W_FLOOR)
+
+
+def loop_generator(c, weight):
+    q = np.zeros((c.n, c.n))
+    for a, b, comp in c.edges:
+        w = weight(a, b, comp)
+        q[b, a] += w
+        q[a, b] += w
+    q[np.diag_indices(c.n)] = 0.0
+    q[np.diag_indices(c.n)] -= q.sum(axis=0)
+    return q
+
+
 class TestCircuitDriver:
     def test_field_matches_the_per_node_loop(self):
-        c = parse_netlist(BRIDGE)
+        c = parse_netlist(BRANCHES)
         d = circuit_driver(c)
+        ix = c.index_of
+        rows = np.arange(c.n)
+        ref = loop_generator(
+            c, lambda a, b, comp: 1.0 / comp.ohms if isinstance(comp, Resistor) else comp.i_s / comp.v_t
+        )
         rng = np.random.default_rng(5)
-        z = rng.normal(0.0, 0.5, size=c.n)
+        for _ in range(10):
+            z = rng.normal(0.0, 0.2, size=c.n)
+            z[ix("hi")], z[ix("lo")] = 20.0, 0.0
+            z[ix("k")] = z[ix("g")] + rng.uniform(-1e-8, 1e-8)
+            z[ix("m")] = z[ix("g")] - rng.uniform(0.01, 0.2)
+            drops = {(a, b): (z[a] - z[b]) / comp.v_t for a, b, comp in c.edges if isinstance(comp, Diode)}
+            assert drops[ix("hi"), ix("lo")] > _EXP_CAP
+            assert abs(drops[ix("k"), ix("g")]) < 1e-6
+            assert loop_conductance(Diode(1e-18, 0.025), z[ix("m")] - z[ix("g")]) == _W_FLOOR
+
+            az = loop_generator(c, lambda a, b, comp: loop_conductance(comp, z[a] - z[b]))
+            assert np.all(np.abs(implied_matrix(c, z).q - az) <= 1e-12 * np.abs(az))
+            # sums are compared against the size of their terms, the scale
+            # of their rounding
+            gap = (az - ref).T @ z
+            scale = (np.abs(az) + np.abs(ref)).T @ np.abs(z)
+            assert np.all(np.abs(d.field(0.0, z, rows) - gap) <= 1e-12 * scale)
+            currents = [loop_current(comp, z[a] - z[b]) for a, b, comp in c.edges]
+            for (a, b, i), (a0, b0, _comp), i0 in zip(edge_currents(c, z), c.edges, currents):
+                assert (a, b) == (a0, b0) and abs(i - i0) <= 1e-12 * abs(i0)
+            net = np.zeros(c.n)
+            size = np.zeros(c.n)
+            for (a, b, _comp), i in zip(c.edges, currents):
+                net[a] += i
+                net[b] -= i
+                size[[a, b]] += abs(i)
+            assert np.all(np.abs(kirchhoff_residuals(c, z) - net) <= 1e-12 * size)
+            # off the diagonal the Jacobian is each edge's slope of w(v) v
+            # less its reference conductance: zero past the cap, the floor
+            # on the floor, else a central difference of the loop law
+            jac = d.jacobian(0.0, z, rows) + ref
+            for a, b, comp in c.edges:
+                v = z[a] - z[b]
+                if isinstance(comp, Diode) and v / comp.v_t > _EXP_CAP:
+                    assert jac[a, b] == jac[b, a] == 0.0
+                    continue
+                h = 1e-4 * (comp.v_t if isinstance(comp, Diode) else 1.0)
+                slope = (
+                    loop_conductance(comp, v + h) * (v + h) - loop_conductance(comp, v - h) * (v - h)
+                ) / (2.0 * h)
+                assert jac[a, b] == jac[b, a] == pytest.approx(slope, rel=1e-6, abs=0.0)
+
+    def test_jacobian_matches_forward_differences(self):
+        c = parse_netlist("V in 1.5\nV gnd 0\nD in a 1e-9 0.025\nD a b 2e-9 0.03\nR b gnd 500\nR a gnd 5e3")
+        d = circuit_driver(c)
         rows = np.array(free_nodes(c))
-        loop = np.array([d.eval(x, 0.0, z[x], z) for x in rows])
-        assert np.abs(d.field(0.0, z, rows) - loop).max() <= 1e-12 * max(1.0, np.abs(loop).max())
+        z = newton_nodal(c)
+        jac = d.jacobian(0.0, z, rows)
+        fd = MarkovianDriver.jacobian(d, 0.0, z, rows)
+        assert np.abs(jac - fd).max() <= 1e-5 * np.abs(jac).max()
 
 
 class TestOracleGuards:

@@ -19,6 +19,7 @@ from chainbsde import (
     validate_rate_matrix,
     zero_driver,
 )
+from chainbsde.montecarlo import _jump_tables
 
 TWO = validate_rate_matrix([[-2.0, 0.0], [2.0, 0.0]])
 
@@ -176,3 +177,32 @@ class TestReportMechanics:
         )
         rep = mc_validate(p, [0.5, 0.0], paths=1_000, seed=0)
         assert rep.paths == 1_000 and rep.seed == 0
+
+
+def loop_remap(probs):
+    """Plateau remap by the double loop the vectorized one replaced."""
+    n = probs.shape[0]
+    remap = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        nxt = n - 1
+        for j in range(n - 1, -1, -1):
+            if probs[i, j] > 0.0:
+                nxt = j
+            remap[i, j] = nxt
+    return remap
+
+
+def test_jump_table_remap_matches_the_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        # sparse columns give zero-probability plateaus; an all-zero
+        # column is an absorbing state, an empty row of the jump chain
+        q = rng.uniform(0.1, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
+        q[:, rng.random(n) < 0.2] = 0.0
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=0))
+        _lam, _cum, remap = _jump_tables(q)
+        probs = np.maximum(q, 0.0).T
+        np.fill_diagonal(probs, 0.0)
+        assert np.array_equal(remap, loop_remap(probs))
