@@ -120,16 +120,11 @@ def walk_matrix(distances, names=None) -> RateMatrix:
     edge normalizes to 1.  Nodes without outgoing edges are absorbing.
     """
     d = np.array(distances, dtype=float)
-    n = d.shape[0]
-    q = np.zeros((n, n))
-    for i in range(n):
-        out = [(j, 1.0 / d[i, j]) for j in range(n) if j != i and d[i, j] > 0.0]
-        if not out:
-            continue
-        total = sum(wgt for _, wgt in out)
-        for j, wgt in out:
-            q[j, i] = wgt / total
-        q[i, i] = -1.0
+    edge = d > 0.0
+    np.fill_diagonal(edge, False)
+    w = np.divide(1.0, d, out=np.zeros_like(d), where=edge)
+    q = np.divide(w, w.sum(axis=1, keepdims=True), out=np.zeros_like(w), where=edge).T
+    q[np.diag_indices_from(q)] = -q.sum(axis=0)
     return validate_rate_matrix(q, state_names=names)
 
 

@@ -39,13 +39,15 @@ __all__ = [
     "simulate_controlled_path",
 ]
 
-# Columns whose residual is below this are renormalized into the diagonal;
-# larger residuals are rejected as modeling errors rather than parsing noise.
+# Column residuals below this times max(1, off-diagonal mass) are renormalized
+# into the diagonal; larger ones are rejected as modeling errors, not noise.
 _RENORM_WINDOW = 1e-9
 # Off-diagonal entries may undershoot zero by at most this before rejection.
 _OFFDIAG_SLACK = 1e-12
 # The ratio-box rule keeps the incumbent intensity where |h[j] - h[x]| is below this.
 _TIE = 1e-14
+# Least positive control level max_gamma reports.
+_GAMMA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,9 @@ def validate_rate_matrix(
     -------
     RateMatrix
         Validated matrix with read-only storage.  Column residuals with
-        magnitude below 1e-9 are absorbed into the diagonal so that every
-        column sums to zero to within 1e-12; larger residuals raise.
+        magnitude below ``1e-9 * max(1, m)``, m the column's off-diagonal
+        mass, are absorbed into the diagonal so that every column sums to
+        zero to within ``1e-12 * max(1, m)``; larger residuals raise.
 
     Raises
     ------
@@ -134,15 +137,15 @@ def validate_rate_matrix(
     small_neg = off < 0.0
     if small_neg.any():
         # undershoot within the slack is parsing noise: clamp to zero.
-        arr[small_neg] = 0.0
+        arr[small_neg] = off[small_neg] = 0.0
 
     residuals = arr.sum(axis=0)
-    too_big = np.abs(residuals) > _RENORM_WINDOW
-    if too_big.any():
-        col = int(np.argmax(np.abs(residuals)))
+    excess = np.abs(residuals) / _column_window(off)
+    if (excess > 1.0).any():
+        col = int(np.argmax(excess))
         raise ColumnSumError(col, float(residuals[col]))
     # absorb the residual into the diagonal so columns sum to zero exactly
-    # up to one rounding step (well inside the 1e-12 contract).
+    # up to one rounding step (well inside the 1e-12 * max(1, m) contract).
     arr[np.diag_indices(n)] -= residuals
 
     if state_names is not None:
@@ -184,41 +187,41 @@ def gamma_controlled(a: RateMatrix, b: RateMatrix, gamma: float) -> bool:
     np.fill_diagonal(off, 0.0)
     if (off < -_OFFDIAG_SLACK).any():
         return False
-    if np.abs(d.sum(axis=0)).max() > _RENORM_WINDOW:
+    if (np.abs(d.sum(axis=0)) > _column_window(off)).any():
         return False
     return bool(np.all(np.diag(d) <= -gamma + _OFFDIAG_SLACK))
 
 
-def max_gamma(a: RateMatrix, bs: Iterable[RateMatrix], tol: float = 1e-9) -> float:
+def max_gamma(a: RateMatrix, bs: Iterable[RateMatrix]) -> float:
     """Largest gamma in (0, 1] with ``a`` and every ``b`` mutually gamma-controlled.
 
-    Feasibility is monotone (every constraint is an upper bound on gamma),
-    so the boundary is located by bisection to absolute tolerance ``tol``.
-    An empty family returns 1.0; if no positive gamma works, returns 0.0.
+    Each condition of :func:`gamma_controlled` on ``(p, r)`` bounds gamma
+    from above: by ``r[j, x] / p[j, x]`` where ``p`` jumps x -> j, and by
+    ``lambda_r[x] / (1 + lambda_p[x])`` on the exit rates.  The level is the
+    least bound over (p, r) = (a, b), (b, a) and every member, a few
+    roundings below it and capped at 1 (1.0 for an empty family).  A least
+    bound under 1e-12 (a support mismatch or an absorbing state, so every
+    chain with an absorbing target) gives 1e-12 if the family is controlled
+    at that floor, else 0.0.
     """
     members = list(bs)
-    if not members:
-        return 1.0
-
-    def feasible(g: float) -> bool:
-        return all(
-            gamma_controlled(a, b, g) and gamma_controlled(b, a, g)
-            for b in members
-        )
-
-    if feasible(1.0):
-        return 1.0
-    lo = 1e-12
-    if not feasible(lo):
-        return 0.0
-    hi = 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    level = np.inf
+    for b in members:
+        if b.n != a.n:
+            raise DimensionMismatchError(f"dimension mismatch: {a.n} vs {b.n} states")
+        for p, r in ((a, b), (b, a)):
+            jumps = p.support
+            level = min(level, (r.q[jumps] / p.q[jumps]).min(initial=np.inf),
+                        (r.exit_rates / (1.0 + p.exit_rates)).min())
+    # at large rates the predicate's sums round by more than its 1e-12 slack
+    level = min(1.0, float(level) * (1.0 - 4.0 * np.finfo(float).eps))
+    if level >= _GAMMA_FLOOR:
+        return level
+    floor_holds = all(
+        gamma_controlled(a, b, _GAMMA_FLOOR) and gamma_controlled(b, a, _GAMMA_FLOOR)
+        for b in members
+    )
+    return _GAMMA_FLOOR if floor_holds else 0.0
 
 
 def seminorm_sq(a: RateMatrix, x: int, z: object) -> float:
@@ -248,23 +251,25 @@ def states_reaching(a: RateMatrix, target: Iterable[int]) -> NDArray[np.bool_]:
     Graph search on the support of ``a``; target states are trivially
     included.
     """
-    tset = {int(i) for i in target}
-    for i in tset:
-        _check_state(i, a.n)
     mask = np.zeros(a.n, dtype=bool)
-    stack = list(tset)
-    for i in stack:
-        mask[i] = True
-    support = a.support
+    for i in target:
+        _check_state(i, a.n)
+        mask[int(i)] = True
+    return _reach(a.support, mask)
+
+
+def _reach(support: NDArray[np.bool_], mask: NDArray[np.bool_]) -> NDArray[np.bool_]:
+    """``mask`` grown by every state with a path into it, where
+    ``support[j, i]`` means a direct step i -> j (depth-first search)."""
+    unseen = ~mask
+    stack = np.flatnonzero(mask).tolist()
     while stack:
         j = stack.pop()
-        # predecessors of j: states i with a direct jump i -> j
-        preds = np.flatnonzero(support[j, :])
-        for i in preds:
-            if not mask[i]:
-                mask[i] = True
-                stack.append(int(i))
-    return mask
+        # unseen predecessors of j: states i with a direct step i -> j
+        preds = np.flatnonzero(support[j] & unseen)
+        unseen[preds] = False
+        stack.extend(preds.tolist())
+    return ~unseen
 
 
 @dataclass(frozen=True)
@@ -419,6 +424,11 @@ def _box_argmax(a: RateMatrix, gamma: float, h, cols, incumbent) -> NDArray[np.f
     block[diag] = 0.0
     block[diag] = -block.sum(axis=0)
     return block
+
+
+def _column_window(off: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Column-sum window for the off-diagonal part ``off``: rounding grows with the rates."""
+    return _RENORM_WINDOW * np.maximum(1.0, off.sum(axis=0))
 
 
 def _check_state(i: int, n: int) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import solve_or_none
-from .chain import RateMatrix, validate_rate_matrix
+from .chain import RateMatrix, _reach, validate_rate_matrix
 from .drivers import MarkovianDriver
 from .errors import (
     DisconnectedNodeError,
@@ -137,27 +137,19 @@ class CircuitSpec:
             if not isinstance(comp, (Resistor, Diode)):
                 raise InputError(f"unknown component {comp!r} on edge ({a}, {b})")
         # every node must connect to a source through the edge graph
-        adj = [set() for _ in range(n)]
-        for a, b, _comp in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = set(self.sources)
-        stack = list(seen)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        floating = sorted(set(range(n)) - seen)
-        if floating:
+        ends = np.array([(a, b) for a, b, _comp in edges], dtype=np.int64).reshape(-1, 2)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = True
+        seed = np.zeros(n, dtype=bool)
+        seed[list(self.sources)] = True
+        floating = np.flatnonzero(~_reach(adj, seed))
+        if floating.size:
             raise DisconnectedNodeError([self.nodes[i] for i in floating])
         diode = np.array([isinstance(comp, Diode) for _a, _b, comp in edges], dtype=bool)
         params = [
             (comp.i_s / comp.v_t, comp.i_s, comp.v_t) if d else (1.0 / comp.ohms, 0.0, math.inf)
             for (_a, _b, comp), d in zip(edges, diode)
         ]
-        ends = np.array([(a, b) for a, b, _comp in edges], dtype=np.int64).reshape(-1, 2)
         cols = np.array(params, dtype=float).reshape(-1, 3)
         names = ("tail", "head", "diode", "g0", "i_s", "v_t")
         for name, arr in zip(names, (*ends.T.copy(), diode, *cols.T.copy())):

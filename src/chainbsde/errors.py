@@ -69,7 +69,8 @@ class NegativeOffDiagonalError(InputError):
 class ColumnSumError(InputError):
     def __init__(self, col: int, residual: float):
         super().__init__(
-            f"column {col} sums to {residual!r}, beyond the 1e-9 renormalization window"
+            f"column {col} sums to {residual!r}, beyond the renormalization window "
+            "of 1e-9 * max(1, the column's off-diagonal mass)"
         )
         self.col = col
         self.residual = residual

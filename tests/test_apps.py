@@ -62,6 +62,29 @@ class TestWalkMatrix:
         w = walk_matrix([[0.0, 1.0], [1.0, 0.0]], names=("a", "b"))
         assert w.state_names == ("a", "b")
 
+    def test_matches_the_loop(self):
+        # the per-entry loop walk_matrix once ran, kept as the oracle
+        def loop_walk(d):
+            n = d.shape[0]
+            q = np.zeros((n, n))
+            for i in range(n):
+                out = [(j, 1.0 / d[i, j]) for j in range(n) if j != i and d[i, j] > 0.0]
+                if not out:
+                    continue
+                total = sum(wgt for _, wgt in out)
+                for j, wgt in out:
+                    q[j, i] = wgt / total
+                q[i, i] = -1.0
+            return validate_rate_matrix(q).q
+
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            d = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.01, 100.0, (n, n)), 0.0)
+            d[rng.random(n) < 0.25] = 0.0  # nodes with no edge stay absorbing
+            d[np.diag_indices(n)] = rng.uniform(0.0, 1.0, n)  # self-distances are ignored
+            assert np.abs(walk_matrix(d).q - loop_walk(d)).max() <= 1e-14
+
 
 class TestGraphSpec:
     def test_validation(self):

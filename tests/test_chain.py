@@ -67,6 +67,22 @@ class TestValidation:
             validate_rate_matrix([[-1.0 + 1e-6, 0.0], [1.0, 0.0]])
         assert err.value.col == 0
 
+    def test_column_window_scales_with_the_rates(self):
+        # rates near 1e8 carry column residuals far above an absolute 1e-9
+        # but well inside 1e-9 of their off-diagonal mass
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            q = rng.uniform(1e7, 1e9, (5, 5))
+            np.fill_diagonal(q, 0.0)
+            q[np.diag_indices(5)] = -q.sum(axis=0)
+            q += rng.normal(0.0, 1e-2, (5, 5))
+            a = validate_rate_matrix(q)
+            off_mass = a.q.sum(axis=0) - np.diag(a.q)
+            assert (np.abs(a.q.sum(axis=0)) <= 1e-12 * off_mass).all()
+            assert gamma_controlled(a, a, 0.5)
+        with pytest.raises(ColumnSumError):
+            validate_rate_matrix([[-1e8 + 1.0, 0.0], [1e8, 0.0]])
+
     def test_state_name_count(self):
         with pytest.raises(DimensionMismatchError):
             validate_rate_matrix(UNIT_2STATE, state_names=("only-one",))
@@ -140,6 +156,68 @@ class TestGammaControl:
                 )
 
 
+def bisection_gamma(a, members, tol=1e-9):
+    """The bisection ``max_gamma`` once ran on ``gamma_controlled``, kept
+    as the oracle of its closed form."""
+    def feasible(g):
+        return all(gamma_controlled(a, b, g) and gamma_controlled(b, a, g) for b in members)
+
+    if not members or feasible(1.0):
+        return 1.0
+    lo = 1e-12
+    if not feasible(lo):
+        return 0.0
+    hi = 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def log_uniform_member(rng, support, span):
+    q = np.where(support, 10.0 ** rng.uniform(*span, support.shape), 0.0)
+    q[np.diag_indices(q.shape[0])] = -q.sum(axis=0)
+    return validate_rate_matrix(q)
+
+
+class TestGammaClosedForm:
+    @pytest.mark.parametrize("span", [(-3.0, 3.0), (3.0, 10.0)])
+    def test_matches_the_bisection(self, span):
+        # every third family has an absorbing state, every third a member
+        # whose support differs from the reference's in some entries
+        rng = np.random.default_rng(17)
+        for k in range(300):
+            n = int(rng.integers(2, 7))
+            support = rng.random((n, n)) < 0.6
+            np.fill_diagonal(support, False)
+            if k % 3 == 1:
+                support[:, rng.integers(n)] = False
+            a = log_uniform_member(rng, support, span)
+            members = []
+            for _ in range(int(rng.integers(1, 4))):
+                s = support.copy()
+                if k % 3 == 2 and rng.random() < 0.5:
+                    s ^= rng.random((n, n)) < 0.2
+                    np.fill_diagonal(s, False)
+                members.append(log_uniform_member(rng, s, span))
+            g, old = max_gamma(a, members), bisection_gamma(a, members)
+            if g > 0.0:
+                assert all(
+                    gamma_controlled(a, b, g) and gamma_controlled(b, a, g) for b in members
+                )
+            if old in (0.0, 1e-12):
+                assert g == old
+            elif old > 1e-8:
+                assert abs(g - old) <= 1e-9
+
+    def test_member_size_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            max_gamma(validate_rate_matrix(UNIT_2STATE), [validate_rate_matrix(np.zeros((3, 3)))])
+
+
 class TestSeminorm:
     def test_formula_and_shift_invariance(self):
         a = validate_rate_matrix(
@@ -170,6 +248,33 @@ class TestReachability:
         a = validate_rate_matrix(UNIT_2STATE)
         mask = states_reaching(a, {1})
         assert mask[1]
+
+    def test_matches_the_set_search(self):
+        # the per-predecessor loop states_reaching once ran, kept as the oracle
+        def loop_reach(support, target):
+            mask = np.zeros(support.shape[0], dtype=bool)
+            stack = list(target)
+            mask[stack] = True
+            while stack:
+                for i in np.flatnonzero(support[stack.pop(), :]):
+                    if not mask[i]:
+                        mask[i] = True
+                        stack.append(int(i))
+            return mask
+
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n = int(rng.integers(1, 15))
+            q = np.where(rng.random((n, n)) < rng.uniform(0.0, 0.4), 1.0, 0.0)
+            np.fill_diagonal(q, 0.0)
+            q[np.diag_indices(n)] = -q.sum(axis=0)
+            a = validate_rate_matrix(q)
+            target = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            assert (states_reaching(a, target) == loop_reach(a.support, target)).all()
+
+    def test_bad_target_rejected(self):
+        with pytest.raises(InputError):
+            states_reaching(validate_rate_matrix(UNIT_2STATE), {2})
 
 
 class TestSimulation:

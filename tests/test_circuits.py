@@ -135,6 +135,17 @@ class TestMatrices:
         assert imp.q[o, i] > reference_matrix(c).q[o, i]
 
 
+    def test_implied_matrix_builds_at_large_drops(self):
+        # forward drops of a volt give diodes conductances near 1e8 S and
+        # beyond, whose rebalanced diagonals round by more than 1e-9
+        c = parse_netlist(BRANCHES)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            a = implied_matrix(c, rng.normal(0.0, 0.5, size=c.n))
+            off_mass = a.q.sum(axis=0) - np.diag(a.q)
+            assert (np.abs(a.q.sum(axis=0)) <= 1e-12 * np.maximum(1.0, off_mass)).all()
+
+
 class TestResistorCircuits:
     def test_divider(self):
         c = parse_netlist(DIVIDER)

@@ -322,16 +322,19 @@ class TestBalance:
             lipschitz_bound(d, a, gamma=0.9, certificate=cert)
 
     def test_import_leaves_the_lp_solver_unloaded(self):
-        # scipy.optimize costs a large share of the import and only the LP
-        # fallback of check_balanced needs it
+        # scipy costs a large share of a CLI run's import and only the LP
+        # fallback of check_balanced needs it (scipy.optimize)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, chainbsde; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, chainbsde.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 def family_drivers(rng, n):
