@@ -42,7 +42,8 @@ __all__ = [
 # Column residuals below this times max(1, off-diagonal mass) are renormalized
 # into the diagonal; larger ones are rejected as modeling errors, not noise.
 _RENORM_WINDOW = 1e-9
-# Off-diagonal entries may undershoot zero by at most this before rejection.
+# Off-diagonal entries may undershoot zero by at most this before rejection;
+# gamma_controlled scales it by the sizes of the terms it subtracts.
 _OFFDIAG_SLACK = 1e-12
 # The ratio-box rule keeps the incumbent intensity where |h[j] - h[x]| is below this.
 _TIE = 1e-14
@@ -167,7 +168,10 @@ def gamma_controlled(a: RateMatrix, b: RateMatrix, gamma: float) -> bool:
     True iff ``b - gamma*a`` is itself a rate matrix (nonnegative
     off-diagonals, zero column sums) whose diagonal entries are all at most
     ``-gamma``.  Calling this in both directions checks the symmetric
-    relation used for control families.
+    relation used for control families.  Each off-diagonal entry may
+    undershoot zero by ``1e-12 * max(1, |b[j, x]| + gamma * |a[j, x]|)`` and
+    each diagonal entry may exceed ``-gamma`` by ``1e-12 * max(1, lambda_b +
+    gamma * lambda_a)``, the rounding of ``b - gamma*a`` in that entry.
 
     Parameters
     ----------
@@ -185,11 +189,17 @@ def gamma_controlled(a: RateMatrix, b: RateMatrix, gamma: float) -> bool:
     d = b.q - gamma * a.q
     off = d.copy()
     np.fill_diagonal(off, 0.0)
-    if (off < -_OFFDIAG_SLACK).any():
-        return False
+    # each entry of d rounds in proportion to the two terms it subtracts;
+    # the slack is at least _OFFDIAG_SLACK, so only entries below it can fail
+    neg = off < -_OFFDIAG_SLACK
+    if neg.any():
+        sizes = np.abs(b.q[neg]) + gamma * np.abs(a.q[neg])
+        if (off[neg] < -_OFFDIAG_SLACK * np.maximum(1.0, sizes)).any():
+            return False
     if (np.abs(d.sum(axis=0)) > _column_window(off)).any():
         return False
-    return bool(np.all(np.diag(d) <= -gamma + _OFFDIAG_SLACK))
+    diag_slack = _OFFDIAG_SLACK * np.maximum(1.0, b.exit_rates + gamma * a.exit_rates)
+    return bool(np.all(np.diag(d) <= -gamma + diag_slack))
 
 
 def max_gamma(a: RateMatrix, bs: Iterable[RateMatrix]) -> float:
@@ -198,11 +208,10 @@ def max_gamma(a: RateMatrix, bs: Iterable[RateMatrix]) -> float:
     Each condition of :func:`gamma_controlled` on ``(p, r)`` bounds gamma
     from above: by ``r[j, x] / p[j, x]`` where ``p`` jumps x -> j, and by
     ``lambda_r[x] / (1 + lambda_p[x])`` on the exit rates.  The level is the
-    least bound over (p, r) = (a, b), (b, a) and every member, a few
-    roundings below it and capped at 1 (1.0 for an empty family).  A least
-    bound under 1e-12 (a support mismatch or an absorbing state, so every
-    chain with an absorbing target) gives 1e-12 if the family is controlled
-    at that floor, else 0.0.
+    least bound over (p, r) = (a, b), (b, a) and every member, capped at 1
+    (1.0 for an empty family).  A least bound under 1e-12 (a support
+    mismatch or an absorbing state, so every chain with an absorbing
+    target) gives 1e-12 if the family is controlled at that floor, else 0.0.
     """
     members = list(bs)
     level = np.inf
@@ -213,8 +222,7 @@ def max_gamma(a: RateMatrix, bs: Iterable[RateMatrix]) -> float:
             jumps = p.support
             level = min(level, (r.q[jumps] / p.q[jumps]).min(initial=np.inf),
                         (r.exit_rates / (1.0 + p.exit_rates)).min())
-    # at large rates the predicate's sums round by more than its 1e-12 slack
-    level = min(1.0, float(level) * (1.0 - 4.0 * np.finfo(float).eps))
+    level = min(1.0, float(level))
     if level >= _GAMMA_FLOOR:
         return level
     floor_holds = all(

@@ -65,11 +65,16 @@ class RunManifest:
         Path(path).write_text(json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
 
 
-def _finish(args, argv, manifest: RunManifest, meta, columns, rows, t0) -> None:
+def _finish(args, manifest: RunManifest, meta, columns, rows, t0) -> None:
     write_csv(args.out, meta, columns, rows)
-    manifest.outputs[str(args.out)] = sha256_of(args.out)
+    _seal(manifest, args.out, t0)
+
+
+def _seal(manifest: RunManifest, out, t0) -> None:
+    """Record the digest of ``out`` and the wall time, then write the manifest."""
+    manifest.outputs[str(out)] = sha256_of(out)
     manifest.wall_clock_s = time.perf_counter() - t0
-    manifest.write(str(args.out) + ".manifest.json")
+    manifest.write(str(out) + ".manifest.json")
 
 
 def _manifest(argv, files, seed, tolerances) -> RunManifest:
@@ -110,10 +115,7 @@ def _cmd_validate(args, argv, t0) -> int:
     print(json.dumps(report, sort_keys=True))
     if args.out:
         Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        manifest = _manifest(argv, [args.file], None, {})
-        manifest.outputs[str(args.out)] = sha256_of(args.out)
-        manifest.wall_clock_s = time.perf_counter() - t0
-        manifest.write(str(args.out) + ".manifest.json")
+        _seal(_manifest(argv, [args.file], None, {}), args.out, t0)
     return 0 if ok else 1
 
 
@@ -130,7 +132,7 @@ def _cmd_solve(args, argv, t0) -> int:
             "residual": sol.residual, "iterations": sol.iterations,
         }
         rows = [(x, sol.u[x]) for x in range(p.chain.n)]
-        _finish(args, argv, manifest, meta, ["state", "u"], rows, t0)
+        _finish(args, manifest, meta, ["state", "u"], rows, t0)
         return 0
     if args.horizon is None or args.steps is None:
         raise InputError("grid mode requires --horizon and --steps")
@@ -144,7 +146,7 @@ def _cmd_solve(args, argv, t0) -> int:
         for k, t in enumerate(sol.times)
         for x in range(p.chain.n)
     ]
-    _finish(args, argv, manifest, meta, ["t", "state", "u"], rows, t0)
+    _finish(args, manifest, meta, ["t", "state", "u"], rows, t0)
     return 0
 
 
@@ -174,7 +176,7 @@ def _cmd_moments(args, argv, t0) -> int:
     manifest = _manifest(
         argv, [args.chain_file], None, {"beta": args.beta, "gamma": gamma}
     )
-    _finish(args, argv, manifest, meta, ["state", "h"], rows, t0)
+    _finish(args, manifest, meta, ["state", "h"], rows, t0)
     return 0
 
 
@@ -261,7 +263,7 @@ def _cmd_app(args, argv, t0) -> int:
     if paths_n:
         meta["mc_paths"] = paths_n
         meta["seed"] = args.seed
-    _finish(args, argv, manifest, meta, columns, rows, t0)
+    _finish(args, manifest, meta, columns, rows, t0)
     return 0
 
 
@@ -283,7 +285,7 @@ def _cmd_truncation(args, argv, t0) -> int:
         for x in range(p.chain.n):
             rows.append((horizon, x, float(diag.values_at_zero[k][x]), gap))
     manifest = _manifest(argv, [args.problem_file], None, {"dt": args.dt})
-    _finish(args, argv, manifest, meta, ["horizon", "state", "value", "gap"], rows, t0)
+    _finish(args, manifest, meta, ["horizon", "state", "value", "gap"], rows, t0)
     return 0
 
 

@@ -94,8 +94,9 @@ class NotCertifiedError(InputError):
 class DriverTimeDependentError(InputError):
     def __init__(self, what: str):
         super().__init__(
-            f"{what} depends on time; the stationary algebraic solver requires "
-            "time-independent data (use the backward grid solver instead)"
+            f"{what} depends on time; the stationary solver and the truncation "
+            "sequence require time-independent data (use the backward grid "
+            "solver instead)"
         )
 
 

@@ -108,6 +108,21 @@ def _matrices(raw, chain: RateMatrix, where: str) -> tuple[RateMatrix, ...]:
     return mats
 
 
+def _control_set(
+    data: dict, chain: RateMatrix, where: str, priced: bool = True
+) -> ControlSet:
+    """ControlSet from the "labels", "matrices" and, when ``priced``, "cost"
+    fields of ``data``; unpriced controls cost nothing."""
+    labels = tuple(str(s) for s in _require(data, "labels", where))
+    mats = _matrices(_require(data, "matrices", where), chain, where)
+    cost = (
+        np.array(_require(data, "cost", where), dtype=float)
+        if priced
+        else np.zeros((chain.n, len(mats)))
+    )
+    return ControlSet(labels=labels, matrices=mats, cost=cost, reference=chain)
+
+
 def load_driver(spec, chain: RateMatrix) -> MarkovianDriver:
     """Build a driver from its tagged-union spec (see module docstring)."""
     data = _load_json(spec)
@@ -118,14 +133,7 @@ def load_driver(spec, chain: RateMatrix) -> MarkovianDriver:
             b = validate_rate_matrix(np.array(b, dtype=float))
         return affine_driver(chain, b=b, g=data.get("g"), r=data.get("r"))
     if kind == "hamiltonian":
-        cs = ControlSet(
-            labels=tuple(str(s) for s in _require(data, "labels", "hamiltonian driver")),
-            matrices=_matrices(
-                _require(data, "matrices", "hamiltonian driver"), chain, "hamiltonian"
-            ),
-            cost=np.array(_require(data, "cost", "hamiltonian driver"), dtype=float),
-            reference=chain,
-        )
+        cs = _control_set(data, chain, "hamiltonian driver")
         sense = data.get("sense", "inf")
         if sense == "inf":
             return hamiltonian_inf(cs)
@@ -214,16 +222,11 @@ def load_reliability(source):
     loss = np.array(_require(data, "loss_rates", "reliability"), dtype=float)
     dead = frozenset(int(i) for i in data.get("dead", ()))
     target_node = int(_require(data, "target_node", "reliability"))
-    controls = None
-    if "controls" in data:
-        cdata = data["controls"]
-        mats = _matrices(_require(cdata, "matrices", "controls"), chain, "controls")
-        controls = ControlSet(
-            labels=tuple(str(s) for s in _require(cdata, "labels", "controls")),
-            matrices=mats,
-            cost=np.zeros((chain.n, len(mats))),
-            reference=chain,
-        )
+    controls = (
+        _control_set(data["controls"], chain, "controls", priced=False)
+        if "controls" in data
+        else None
+    )
     return chain, loss, dead, target_node, controls
 
 
@@ -237,14 +240,7 @@ def load_control(source):
     chain = load_chain(_require(data, "chain", "control"))
     target = frozenset(int(i) for i in _require(data, "target", "control"))
     terminal = np.array(_require(data, "terminal", "control"), dtype=float)
-    cdata = _require(data, "controls", "control")
-    mats = _matrices(_require(cdata, "matrices", "controls"), chain, "controls")
-    cs = ControlSet(
-        labels=tuple(str(s) for s in _require(cdata, "labels", "controls")),
-        matrices=mats,
-        cost=np.array(_require(cdata, "cost", "controls"), dtype=float),
-        reference=chain,
-    )
+    cs = _control_set(_require(data, "controls", "control"), chain, "controls")
     return cs, chain, target, terminal
 
 

@@ -176,13 +176,22 @@ def mc_validate(
         raise InputError("need at least 2 paths for a standard error")
     paths = int(paths)
 
+    lam, cum, remap = _jump_tables(problem.chain.q)
+    target_mask = np.zeros(n, dtype=bool)
+    target_mask[list(problem.target)] = True
+    if (lam[~target_mask] <= 0.0).any():
+        # free absorbing state: reachability validation already rejects
+        # unreachable targets, so this is a trap outside the target
+        trapped = [int(i) for i in np.flatnonzero((lam <= 0.0) & ~target_mask)]
+        raise UnreachableTargetError(trapped)
+
     est = np.zeros(len(starts))
     se = np.zeros(len(starts))
     for k, x0 in enumerate(starts):
         if x0 in problem.target:
             est[k] = problem.phi[x0]
             continue
-        samples = _batch(problem, x0, paths, seed, max_jumps)
+        samples = _batch(problem, lam, cum, remap, target_mask, x0, paths, seed, max_jumps)
         est[k] = samples.mean()
         se[k] = samples.std(ddof=1) / np.sqrt(paths)
 
@@ -220,19 +229,10 @@ def _jump_tables(q: NDArray[np.float64]):
 
 
 def _batch(
-    p: McProblem, x0: int, paths: int, seed: int, max_jumps: int
+    p: McProblem, lam, cum, remap, target_mask, x0: int, paths: int, seed: int,
+    max_jumps: int,
 ) -> NDArray[np.float64]:
-    q = p.chain.q
     n = p.chain.n
-    lam, cum, remap = _jump_tables(q)
-    target_mask = np.zeros(n, dtype=bool)
-    target_mask[list(p.target)] = True
-    if (lam[~target_mask] <= 0.0).any():
-        # free absorbing state: reachability validation already rejects
-        # unreachable targets, so this is a trap outside the target
-        trapped = [int(i) for i in np.flatnonzero((lam <= 0.0) & ~target_mask)]
-        raise UnreachableTargetError(trapped)
-
     rng = np.random.default_rng([int(seed), int(x0)])
     state = np.full(paths, x0, dtype=np.int64)
     acc = np.zeros(paths)

@@ -10,19 +10,21 @@ Two routes to the solution field ``u`` with ``Y_t = u(t, X_t)``:
   Classical fixed-step fourth-order Runge-Kutta on
   ``du/dt = -(f(t, u) + Ahat^T u)`` run backward from the horizon, where
   ``Ahat`` is the reference matrix with target columns zeroed (targets
-  absorb), and the boundary value is re-imposed on target states after
-  every step.
+  absorb).  Target entries carry the boundary value read at each stage's
+  own time, so a time-dependent boundary is never differenced.
 
 :func:`truncation_sequence` realizes the horizon-truncated approximations
 whose terminal value vanishes on paths that have not yet been absorbed; the
 successive gaps witness the convergence rate towards the untruncated
-solution.
+solution.  For time-independent data the truncations form a semigroup,
+``u_T(0) = S(T - T') u_{T'}(0)``, so one backward sweep continued from
+horizon to horizon passes through every truncation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -221,6 +223,13 @@ class GrowthReport:
     points_checked: int
 
 
+def _require_time_free(p: HittingProblem) -> None:
+    if p.driver.time_dependent:
+        raise DriverTimeDependentError("driver")
+    if not p.time_free_terminal:
+        raise DriverTimeDependentError("terminal condition")
+
+
 def solve_homogeneous(
     p: HittingProblem,
     tol: float = 1e-10,
@@ -246,10 +255,7 @@ def solve_homogeneous(
     ------
     DriverTimeDependentError, NoConvergenceError
     """
-    if p.driver.time_dependent:
-        raise DriverTimeDependentError("driver")
-    if not p.time_free_terminal:
-        raise DriverTimeDependentError("terminal condition")
+    _require_time_free(p)
 
     n = p.chain.n
     free = p.free_states
@@ -351,8 +357,9 @@ def solve_backward_grid(
     Fourth-order Runge-Kutta with step ``h = horizon / steps`` run from the
     terminal data at the horizon down to time zero.  The step must satisfy
     the accuracy guard ``h * max_i |q[i, i]| <= 0.1``.  Target states carry
-    the boundary value: their derivative is the boundary's time derivative
-    and the boundary value is re-imposed exactly after every step.
+    the boundary value: every stage reads it at the stage's own time (the
+    boundary is evaluated on target states only), and it is re-imposed
+    exactly after every step.
 
     Raises
     ------
@@ -373,28 +380,22 @@ def solve_backward_grid(
     ahat = p.chain.q.copy()
     ahat[:, tgt] = 0.0  # targets absorb
     ahatT = ahat.T
+    fixed = p.terminal[tgt] if p.time_free_terminal else None
 
-    time_free = p.time_free_terminal
-
-    def boundary_rate(t: float) -> NDArray[np.float64]:
-        if time_free:
-            return np.zeros(tgt.size)
-        eps = 1e-6
-        lo = max(t - eps, 0.0)
-        hi = t + eps
-        return np.array(
-            [(p.phi(hi, x) - p.phi(lo, x)) / (hi - lo) for x in tgt]
-        )
+    def boundary(t: float) -> NDArray[np.float64]:
+        return fixed if fixed is not None else np.array([p.phi(t, x) for x in tgt])
 
     def slope(t: float, w: NDArray[np.float64]) -> NDArray[np.float64]:
         # w is the field at time t, advanced in s = horizon - t
+        w[tgt] = boundary(t)
         dw = ahatT @ w
         dw[free] += p.driver.field(t, w, free)
-        dw[tgt] = -boundary_rate(t)
+        dw[tgt] = 0.0
         return dw
 
+    u = np.empty((steps + 1, n))
     w = p.terminal_vector(horizon)
-    rows = [w.copy()]
+    u[steps] = w
     t = horizon
     for k in range(steps):
         k1 = slope(t, w)
@@ -403,16 +404,14 @@ def solve_backward_grid(
         k4 = slope(t - h, w + h * k3)
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = horizon - (k + 1) * h
-        for j, x in enumerate(tgt):
-            w[x] = p.phi(t, x)
+        w[tgt] = boundary(t)
         if not np.isfinite(w).all():
             raise NonFiniteStateError(t)
-        rows.append(w.copy())
+        u[steps - 1 - k] = w
 
-    rows.reverse()
     times = np.array([horizon * k / steps for k in range(steps + 1)])
     return SolutionField(
-        "time_grid", np.array(rows), times=times, residual=float("nan"), iterations=steps
+        "time_grid", u, times=times, residual=float("nan"), iterations=steps
     )
 
 
@@ -423,14 +422,17 @@ def truncation_sequence(
 
     For each horizon ``T`` the terminal value is the boundary value on
     already-absorbed states and zero on states still alive at ``T`` (the
-    truncated data vanish unless the target was hit in time); the backward
-    grid solver carries that to time zero.  Gaps are max-abs differences of
-    consecutive time-zero fields over non-target states.
+    truncated data vanish unless the target was hit in time).  With
+    time-independent data the backward flow ``S`` is a semigroup, so
+    ``u_T(0) = S(T - T') u_{T'}(0)``: each horizon continues from the one
+    before with one grid solve over the gap, at most ``dt`` per step.  The
+    same data make the truncations converge to the stationary solution, so
+    a callable terminal or a time-dependent driver raises
+    :class:`DriverTimeDependentError`, as in :func:`solve_homogeneous`.  Gaps are
+    max-abs differences of consecutive time-zero fields over non-target
+    states.
     """
-    if not p.time_free_terminal:
-        raise InputError(
-            "truncation requires a time-independent boundary value"
-        )
+    _require_time_free(p)
     hs = [float(t) for t in horizons]
     if len(hs) < 2:
         raise InputError("need at least two horizons")
@@ -439,26 +441,16 @@ def truncation_sequence(
     if not hs[0] > 0.0:
         raise InputError("horizons must be positive")
 
-    phi = p.terminal_vector(0.0)
-    tv = np.zeros(p.chain.n)
-    tv[p.target_states] = phi[p.target_states]
-    truncated = HittingProblem(
-        chain=p.chain,
-        target=p.target,
-        terminal=tv,
-        driver=p.driver,
-        k=p.k,
-        beta=p.beta,
-        require_reachable=p.require_reachable,
-    )
-
     max_rate = p.chain.max_rate
     step_cap = dt if max_rate == 0.0 else min(dt, 0.1 / max_rate)
+    w = np.zeros(p.chain.n)
+    w[p.target_states] = p.terminal[p.target_states]
     values = []
-    for T in hs:
-        steps = max(1, int(np.ceil(T / step_cap)))
-        sol = solve_backward_grid(truncated, T, steps)
-        values.append(sol.u[0])
+    for lo, hi in zip([0.0, *hs], hs):
+        steps = max(1, int(np.ceil((hi - lo) / step_cap)))
+        # copied, so that the grid of each gap is not kept alive
+        w = solve_backward_grid(replace(p, terminal=w), hi - lo, steps).u[0].copy()
+        values.append(w)
     free = p.free_states
     gaps = [
         float(np.abs((b - a)[free]).max()) if free.size else 0.0

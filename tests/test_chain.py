@@ -5,7 +5,9 @@ import scipy.stats
 from chainbsde import (
     AbsorbedOutsideTargetError,
     ColumnSumError,
+    ControlSet,
     DimensionMismatchError,
+    GammaNotCertifiableError,
     InputError,
     NegativeOffDiagonalError,
     NonFiniteEntryError,
@@ -216,6 +218,29 @@ class TestGammaClosedForm:
     def test_member_size_checked(self):
         with pytest.raises(DimensionMismatchError):
             max_gamma(validate_rate_matrix(UNIT_2STATE), [validate_rate_matrix(np.zeros((3, 3)))])
+
+
+class TestGammaRounding:
+    def test_exact_level_holds_at_large_rates(self):
+        # at rates near 1e7, b - g*a rounds by more than an absolute 1e-12;
+        # the exit-rate bound of b against a is the least one and must hold as is
+        a = validate_rate_matrix([[-159200.0, 43228800.0], [159200.0, -43228800.0]])
+        b = validate_rate_matrix([[-1262000.0, 133700.0], [1262000.0, -133700.0]])
+        level = 133700.0 / (1.0 + 43228800.0)
+        assert max_gamma(a, [b]) == level
+        assert gamma_controlled(a, b, level) and gamma_controlled(b, a, level)
+        assert not gamma_controlled(a, b, level * (1.0 + 1e-9))
+
+    def test_deleted_jump_rejected_at_the_floor(self):
+        # the member drops the reference's jump 0 -> 1 and moves its mass to
+        # 0 -> 2; b[1, 0] - 1e-12 * a[1, 0] = -2e-12 is exact, so no slack
+        # scaled by the column's exit rate 5 may let it pass
+        a = validate_rate_matrix([[-3.0, 1.0, 1.0], [2.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+        b = validate_rate_matrix([[-5.0, 1.0, 1.0], [0.0, -1.0, 0.0], [5.0, 0.0, -1.0]])
+        assert not gamma_controlled(a, b, 1e-12)
+        assert max_gamma(a, [b]) == 0.0
+        with pytest.raises(GammaNotCertifiableError):
+            ControlSet(("m",), (b,), np.zeros((3, 1)), a)
 
 
 class TestSeminorm:

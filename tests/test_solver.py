@@ -3,6 +3,7 @@ import pytest
 
 from chainbsde import (
     BoundViolatedError,
+    ControlSet,
     DimensionMismatchError,
     DriverTimeDependentError,
     HittingProblem,
@@ -15,6 +16,8 @@ from chainbsde import (
     check_comparison,
     constant_driver,
     growth_bound_check,
+    hamiltonian_inf,
+    reliability_driver,
     solve_backward_grid,
     solve_homogeneous,
     truncation_sequence,
@@ -26,6 +29,7 @@ from conftest import (
     affine_parts,
     expm_grid_oracle,
     linear_field_oracle,
+    scaled_member,
     spine_chain,
 )
 
@@ -203,6 +207,22 @@ class TestGrid:
         sol = solve_backward_grid(p, 2.0, 40)
         assert np.abs(sol.u[:, 1] - sol.times).max() < 1e-12
 
+    def test_boundary_read_at_stage_times(self):
+        # boundary sin(3t), zero terminal off the target: from the free state
+        # u(0) = int_0^2 e^-s sin(3s) ds = (3 - e^-2 (sin 6 + 3 cos 6)) / 10
+        calls = []
+
+        def boundary(t, x):
+            calls.append((t, int(x)))
+            return float(np.sin(3.0 * t)) if x == 1 else 0.0
+
+        p = HittingProblem(ABSORBING, frozenset({1}), boundary, zero_driver(ABSORBING))
+        sol = solve_backward_grid(p, 2.0, 40)
+        exact = (3.0 - np.exp(-2.0) * (np.sin(6.0) + 3.0 * np.cos(6.0))) / 10.0
+        assert abs(sol.u[0, 0] - exact) < 2e-8
+        # free states are read once, for the terminal row at the horizon
+        assert {x for t, x in calls if t < 2.0} == {1}
+
     def test_step_guard(self):
         p = HittingProblem(
             ABSORBING, frozenset({1}), [0.0, 0.0], zero_driver(ABSORBING)
@@ -238,7 +258,85 @@ class TestGrid:
             sol.field_at(-0.1)
 
 
+def per_horizon_truncation(p, horizons, dt):
+    """The per-horizon loop truncation_sequence once ran, kept as the
+    oracle: every horizon integrated again from the truncated data."""
+    tv = np.zeros(p.chain.n)
+    tv[p.target_states] = p.terminal[p.target_states]
+    truncated = HittingProblem(
+        p.chain, p.target, tv, p.driver, k=p.k, beta=p.beta,
+        require_reachable=p.require_reachable,
+    )
+    step_cap = dt if p.chain.max_rate == 0.0 else min(dt, 0.1 / p.chain.max_rate)
+    return [
+        solve_backward_grid(truncated, T, max(1, int(np.ceil(T / step_cap)))).u[0]
+        for T in horizons
+    ]
+
+
+def family_problems(rng, count, n_hi):
+    """Affine, Hamiltonian and controlled-reliability problems in turn,
+    each on a random spine chain with target {0}."""
+    for k in range(count):
+        n = int(rng.integers(2, n_hi))
+        a = spine_chain(rng, n)
+        mats = tuple(scaled_member(rng, a) for _ in range(3))
+        if k % 3 == 0:
+            d = affine_driver(a, *affine_parts(rng, a))
+        elif k % 3 == 1:
+            cs = ControlSet(("u0", "u1", "u2"), mats, rng.uniform(0.5, 2.0, (n, 3)), a)
+            d = hamiltonian_inf(cs)
+        else:
+            d = reliability_driver(a, rng.uniform(0.05, 0.5, n), [a, *mats])
+        yield HittingProblem(a, frozenset({0}), rng.normal(size=n), d)
+
+
 class TestTruncation:
+    def test_matches_the_per_horizon_loop_bit_for_bit(self):
+        # every horizon gap is a multiple of the 0.01 step, so the sweep
+        # takes the same RK4 steps as integrating each horizon from zero
+        a = validate_rate_matrix(
+            [[-1.2, 0.3, 0.0], [1.2, -0.9, 0.0], [0.0, 0.6, 0.0]]
+        )
+        d = affine_driver(a, g=[1.0, 1.0, 0.0], r=[0.05, 0.05, 0.0])
+        readme = HittingProblem(a, frozenset({2}), [0.0, 0.0, 2.0], d)
+        cases = [(readme, (1.0, 2.0, 4.0, 8.0))]
+        # n <= 5 spine chains have max_rate <= 10, so the step cap is 0.01
+        rng = np.random.default_rng(61)
+        cases += [(p, (1.0, 2.0, 3.0, 5.0)) for p in family_problems(rng, 6, 6)]
+        for p, horizons in cases:
+            assert p.chain.max_rate <= 10.0
+            diag = truncation_sequence(p, horizons, dt=0.01)
+            oracle = per_horizon_truncation(p, horizons, 0.01)
+            for got, expect in zip(diag.values_at_zero, oracle):
+                assert np.array_equal(got, expect)
+
+    def test_matches_the_per_horizon_loop_off_the_step(self):
+        # gaps that are not multiples of the step change the RK4 grid; the
+        # two routes then differ by the integrator's own error, which at
+        # dt = 0.01 reaches 1e-6 on the Hamiltonian draws for both routes
+        rng = np.random.default_rng(62)
+        horizons = (0.3731, 1.1357, 2.9083, 6.0519)
+        for p in family_problems(rng, 6, 9):
+            diag = truncation_sequence(p, horizons, dt=0.005)
+            oracle = per_horizon_truncation(p, horizons, 0.005)
+            for got, expect in zip(diag.values_at_zero, oracle):
+                assert np.abs(got - expect).max() <= 1e-7 * max(1.0, np.abs(expect).max())
+
+    def test_off_the_step_at_the_default_step(self):
+        # at dt = 0.01 both routes carry RK4's own error; against the loop
+        # at dt / 4 the sweep stays within the largest error the loop makes
+        rng = np.random.default_rng(62)
+        horizons = (0.3731, 1.1357, 2.9083, 6.0519)
+        for p in family_problems(rng, 6, 9):
+            swept = truncation_sequence(p, horizons, dt=0.01).values_at_zero
+            looped = per_horizon_truncation(p, horizons, 0.01)
+            fine = per_horizon_truncation(p, horizons, 0.01 / 4)
+            scale = [max(1.0, np.abs(r).max()) for r in fine]
+            loop_err = max(np.abs(l - r).max() / s for l, r, s in zip(looped, fine, scale))
+            for got, r, s in zip(swept, fine, scale):
+                assert np.abs(got - r).max() / s <= 1.5 * loop_err
+
     def test_two_state_closed_form(self):
         """Truncated expected-time values are 1 - e^{-T} from the free state."""
         p = HittingProblem(
@@ -278,6 +376,10 @@ class TestTruncation:
         )
         with pytest.raises(InputError):
             truncation_sequence(p2, [1.0, 2.0])
+        d = MarkovianDriver(lambda x, t, y, z: t, time_dependent=True)
+        p3 = HittingProblem(ABSORBING, frozenset({1}), [0.0, 0.0], d)
+        with pytest.raises(InputError):
+            truncation_sequence(p3, [1.0, 2.0])
 
 
 class TestComparison:
