@@ -361,12 +361,16 @@ def simulate_controlled_path(
 
     if callable(controls):
         control_for = controls
+        n = control_for(int(x0)).n
     else:
         mats = list(controls)
-        control_for = lambda s: mats[s]  # noqa: E731
-
-    first = control_for(int(x0))
-    n = first.n
+        n = mats[0].n if mats else 0
+        if len(mats) != n or any(m.n != n for m in mats):
+            raise DimensionMismatchError(
+                f"need one rate matrix per state: {len(mats)} matrices for "
+                f"sizes {sorted({m.n for m in mats})}"
+            )
+        control_for = mats.__getitem__
     _check_state(int(x0), n)
     for i in tset:
         _check_state(i, n)

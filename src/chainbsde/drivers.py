@@ -231,7 +231,7 @@ class BalanceCertificate:
     A pass is evidence (witnesses found at every sample), a fail is
     conclusive (a sample where no admissible witness exists).  Each stored
     witness ``lam`` sums to zero and keeps componentwise ratios against the
-    reference column inside ``[gamma, 1/gamma]`` up to 1e-9 slack.
+    reference column inside ``[gamma, 1/gamma]``, each entry up to 1e-9.
     """
 
     gamma: float
@@ -436,11 +436,23 @@ def check_balanced(
     ``f(z) - f(z')`` must be representable as ``(z - z') @ (lam - A e_x)``
     with ``lam`` supported on the coordinates reachable from ``x``, summing
     to zero, and with componentwise ratios ``lam_j / (A e_x)_j`` inside
-    ``[gamma, 1/gamma]`` (0/0 counts as 1).  The witness is recovered by
-    projecting the reference column onto the two-constraint affine set; if
-    the projection violates the ratio bounds an exact linear-programming
-    feasibility check decides the sample.  A pass is evidence of balance; a
-    fail carries a concrete counterexample and is conclusive.
+    ``[gamma, 1/gamma]`` (0/0 counts as 1), each bound widened by 1e-9.
+
+    The sample is decided in closed form.  On ``J``, the states ``x`` jumps
+    to plus ``x`` itself, the admissible ``lam`` form the box
+    ``[lo, hi]`` cut by the plane ``sum(lam) = 0``, so ``delta @ lam`` with
+    ``delta = z - z'`` fills an interval ``[m, M]``.  Maximizing a linear
+    objective over a box under one budget constraint is a continuous
+    knapsack: start from ``lo`` and pour the mass ``-sum(lo)`` into the
+    capacities ``hi - lo``, highest ``delta`` first; an exchange argument
+    shows no feasible point does better (Dantzig, Oper. Res. 5(2), 1957).
+    Pouring lowest ``delta`` first gives ``m``.  The set is never empty,
+    since the reference column lies in it.  The sample passes iff the
+    required value ``f(z) - f(z') + delta @ (A e_x)`` lies in ``[m, M]``, up
+    to the rounding of the dot products, and its witness is the point on
+    the segment between the two greedy vertices that meets the identity.
+    A pass is evidence of balance; a fail carries a concrete counterexample
+    and is conclusive.
     """
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must lie in (0, 1], got {gamma!r}")
@@ -471,68 +483,40 @@ def check_balanced(
 
 
 def _find_witness(d, a, gamma, x, t, y, z, zp, slack):
-    col = a.q[:, x]
-    reach = np.flatnonzero(col > 0.0)
-    idx = np.concatenate([reach, [x]]).astype(int)
-    delta = z - zp
+    q = a.q[:, x]
+    idx = np.union1d(np.flatnonzero(q > 0.0), [x])
+    delta = (z - zp)[idx]
     df = d.eval(x, t, y, z) - d.eval(x, t, y, zp)
-    # increment identity: delta @ lam = df + delta @ col, zero total mass
-    rhs = np.array([df + float(delta @ col), 0.0])
-    C = np.vstack([delta[idx], np.ones(len(idx))])
-    qJ = col[idx]
-
-    M = C @ C.T
-    try:
-        mu = np.linalg.solve(M, rhs - C @ qJ)
-    except np.linalg.LinAlgError:
-        mu, *_ = np.linalg.lstsq(M, rhs - C @ qJ, rcond=None)
-    lamJ = qJ + C.T @ mu
-    resid = float(np.abs(C @ lamJ - rhs).max())
-    if resid < slack and _ratios_ok(lamJ, qJ, gamma, slack):
-        return True, _scatter(lamJ, idx, a.n), ""
-
-    # exact feasibility over the admissible box (widened by the slack)
-    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
-
-    lo = np.empty(len(idx))
-    hi = np.empty(len(idx))
-    for k, j in enumerate(idx):
-        if j == x:
-            lo[k] = qJ[k] / gamma - slack
-            hi[k] = gamma * qJ[k] + slack
-        else:
-            lo[k] = gamma * qJ[k] - slack
-            hi[k] = qJ[k] / gamma + slack
-    res = linprog(
-        np.zeros(len(idx)),
-        A_eq=C,
-        b_eq=rhs,
-        bounds=list(zip(lo, hi)),
-        method="highs",
+    # increment identity: delta @ lam = df + delta @ q, zero total mass
+    value = df + float((z - zp) @ q)
+    qJ = q[idx]
+    lo = np.minimum(gamma * qJ, qJ / gamma) - slack
+    hi = np.maximum(gamma * qJ, qJ / gamma) + slack
+    order = np.argsort(delta)
+    lam_lo, lam_hi = _greedy_fill(lo, hi, order), _greedy_fill(lo, hi, order[::-1])
+    least, most = float(delta @ lam_lo), float(delta @ lam_hi)
+    # rounding of the dot products on either side of the comparison
+    tol = 4.0 * len(idx) * np.finfo(float).eps * (
+        abs(df) + float(np.abs(delta) @ (np.abs(qJ) + np.maximum(-lo, hi)))
     )
-    if res.success:
-        return True, _scatter(res.x, idx, a.n), ""
-    return False, None, (
-        f"no admissible witness: increment {df!r} at state {x} cannot be matched "
-        f"with intensity ratios in [{gamma}, {1.0 / gamma}]"
-    )
+    if not least - tol <= value <= most + tol:
+        return False, None, (
+            f"no admissible witness: increment {df!r} at state {x} cannot be matched "
+            f"with intensity ratios in [{gamma}, {1.0 / gamma}]"
+        )
+    theta = min(max((value - least) / (most - least), 0.0), 1.0) if most > least else 0.0
+    lam = np.zeros(a.n)
+    lam[idx] = theta * lam_hi + (1.0 - theta) * lam_lo
+    return True, lam, ""
 
 
-def _ratios_ok(lamJ, qJ, gamma, slack):
-    for lv, qv in zip(lamJ, qJ):
-        if qv == 0.0:
-            if abs(lv) > slack:
-                return False
-            continue
-        r = lv / qv
-        if not (gamma - slack <= r <= 1.0 / gamma + slack):
-            return False
-    return True
-
-
-def _scatter(lamJ, idx, n):
-    lam = np.zeros(n)
-    lam[idx] = lamJ
+def _greedy_fill(lo, hi, order):
+    """``lo`` plus the mass ``-sum(lo)`` poured into the capacities
+    ``hi - lo`` in ``order``: the vertex of ``{lo <= lam <= hi, sum(lam) = 0}``
+    that is extreme for any objective sorted by ``order``."""
+    poured = np.minimum(np.cumsum((hi - lo)[order]), -lo.sum())
+    lam = lo.copy()
+    lam[order] += np.diff(poured, prepend=0.0)
     return lam
 
 

@@ -29,8 +29,10 @@ identical runs emit byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,6 +70,10 @@ __all__ = [
 def _load_json(source) -> dict:
     if isinstance(source, dict):
         return source
+    if not isinstance(source, (str, os.PathLike)):
+        raise InputError(
+            f"expected a JSON object or a path to one, got {type(source).__name__}"
+        )
     path = Path(source)
     try:
         data = json.loads(path.read_text())
@@ -80,12 +86,30 @@ def _load_json(source) -> dict:
     return data
 
 
+def _spec_loader(where: str):
+    """Report a spec value that fails conversion (a string where a number
+    belongs, a ragged matrix, ...) as an InputError naming the spec."""
+
+    def wrap(load):
+        @functools.wraps(load)
+        def loader(*args, **kwargs):
+            try:
+                return load(*args, **kwargs)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"{where} spec has a malformed value: {exc}") from exc
+
+        return loader
+
+    return wrap
+
+
 def _require(data: dict, key: str, where: str):
     if key not in data:
         raise InputError(f"{where} spec is missing required field {key!r}")
     return data[key]
 
 
+@_spec_loader("chain")
 def load_chain(source) -> RateMatrix:
     """Chain spec: {"rates": dense column-convention matrix, "state_names"?, "n"?}."""
     data = _load_json(source)
@@ -123,6 +147,7 @@ def _control_set(
     return ControlSet(labels=labels, matrices=mats, cost=cost, reference=chain)
 
 
+@_spec_loader("driver")
 def load_driver(spec, chain: RateMatrix) -> MarkovianDriver:
     """Build a driver from its tagged-union spec (see module docstring)."""
     data = _load_json(spec)
@@ -164,6 +189,7 @@ def load_driver(spec, chain: RateMatrix) -> MarkovianDriver:
     raise InputError(f"unknown driver type {kind!r}")
 
 
+@_spec_loader("problem")
 def load_problem(source) -> HittingProblem:
     """Problem spec: chain + target + terminal vector + driver + constants.
 
@@ -195,6 +221,7 @@ def load_problem(source) -> HittingProblem:
     )
 
 
+@_spec_loader("graph")
 def load_graph(source) -> GraphSpec:
     """Graph spec: {"distances": [[...]], "target": 2, "speedups"?: [[[...]]],
     "node_names"?: [...]}; distances[i][j] > 0 is the directed edge i -> j."""
@@ -210,6 +237,7 @@ def load_graph(source) -> GraphSpec:
     )
 
 
+@_spec_loader("reliability")
 def load_reliability(source):
     """Reliability spec: {"chain": {...}, "loss_rates": [...], "target_node": 1,
     "dead"?: [...], "controls"?: {"labels": [...], "matrices": [[[...]]]}}.
@@ -230,6 +258,7 @@ def load_reliability(source):
     return chain, loss, dead, target_node, controls
 
 
+@_spec_loader("control")
 def load_control(source):
     """Control app spec: {"chain": {...}, "target": [...], "terminal": [...],
     "controls": {"labels": [...], "matrices": [[[...]]], "cost": [[...]]}}.

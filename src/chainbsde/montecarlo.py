@@ -176,7 +176,7 @@ def mc_validate(
         raise InputError("need at least 2 paths for a standard error")
     paths = int(paths)
 
-    lam, cum, remap = _jump_tables(problem.chain.q)
+    lam, cum = _jump_tables(problem.chain.q)
     target_mask = np.zeros(n, dtype=bool)
     target_mask[list(problem.target)] = True
     if (lam[~target_mask] <= 0.0).any():
@@ -191,7 +191,7 @@ def mc_validate(
         if x0 in problem.target:
             est[k] = problem.phi[x0]
             continue
-        samples = _batch(problem, lam, cum, remap, target_mask, x0, paths, seed, max_jumps)
+        samples = _batch(problem, lam, cum, target_mask, x0, paths, seed, max_jumps)
         est[k] = samples.mean()
         se[k] = samples.std(ddof=1) / np.sqrt(paths)
 
@@ -211,28 +211,27 @@ def mc_validate(
 
 
 def _jump_tables(q: NDArray[np.float64]):
-    """Exit rates, cumulative jump-chain rows, and a plateau remap that
-    sends any index landing on a zero-probability column to the next
-    positive one (guards the measure-zero draw u == cumsum boundary)."""
-    n = q.shape[0]
+    """Exit rates and cumulative jump-chain rows, each divided by its own
+    total so that it reaches exactly 1.0 at its last positive entry."""
     lam = -np.diag(q).copy()
-    probs = np.maximum(q, 0.0).T.copy()  # row i = distribution out of state i
-    np.fill_diagonal(probs, 0.0)
+    cum = np.maximum(q, 0.0).T.copy()  # row i = jump rates out of state i
+    np.fill_diagonal(cum, 0.0)
+    np.cumsum(cum, axis=1, out=cum)
     active = lam > 0.0
-    probs[active] /= lam[active, None]
-    cum = np.cumsum(probs, axis=1)
-    cum[active, -1] = 1.0
-    # remap[i, j]: the least k >= j with probs[i, k] > 0, else n - 1
-    marks = np.where(probs > 0.0, np.arange(n), n - 1)
-    remap = np.minimum.accumulate(marks[:, ::-1], axis=1)[:, ::-1]
-    return lam, cum, remap
+    cum[active] /= cum[active, -1:]
+    return lam, cum
+
+
+def _draw(cum_rows, u):
+    """Per row, the first state whose cumulative entry exceeds ``u``:
+    ``simulate_controlled_path``'s ``searchsorted(side="right")`` rule, which
+    never lands on a zero-probability state."""
+    return (cum_rows <= u[:, None]).sum(axis=1)
 
 
 def _batch(
-    p: McProblem, lam, cum, remap, target_mask, x0: int, paths: int, seed: int,
-    max_jumps: int,
+    p: McProblem, lam, cum, target_mask, x0: int, paths: int, seed: int, max_jumps: int
 ) -> NDArray[np.float64]:
-    n = p.chain.n
     rng = np.random.default_rng([int(seed), int(x0)])
     state = np.full(paths, x0, dtype=np.int64)
     acc = np.zeros(paths)
@@ -254,8 +253,7 @@ def _batch(
         log_disc[idx] += rdt
 
         u = rng.random(idx.size)
-        nxt = (cum[s] < u[:, None]).sum(axis=1)
-        nxt = remap[s, np.minimum(nxt, n - 1)]
+        nxt = _draw(cum[s], u)
         state[idx] = nxt
         hit = target_mask[nxt]
         if hit.any():

@@ -349,6 +349,19 @@ class TestSimulation:
             mapped = simulate_controlled_path(lambda _s: a, 4, {0}, seed=seed)
             assert base == listed == mapped
 
+    def test_control_sequence_size_checked(self):
+        # one matrix per state is required, before any of them is read
+        q = np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+        a = validate_rate_matrix(q)
+        with pytest.raises(DimensionMismatchError):
+            simulate_controlled_path([a, a], 2, {2}, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            simulate_controlled_path([a], 1, {2}, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            simulate_controlled_path([a, a, validate_rate_matrix(UNIT_2STATE)], 0, {2})
+        with pytest.raises(InputError):
+            simulate_controlled_path([a, a, a], 5, {2}, seed=0)
+
     def test_controlled_switching_changes_dynamics(self):
         slow = validate_rate_matrix(ABSORBING_2STATE)
         fast = validate_rate_matrix([[-10.0, 0.0], [10.0, 0.0]])

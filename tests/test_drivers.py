@@ -35,6 +35,7 @@ from chainbsde import (
     zero_driver,
 )
 
+from chainbsde.drivers import _find_witness, _greedy_fill
 from conftest import affine_parts, recurrent_chain, scaled_member, spine_chain
 
 
@@ -322,8 +323,8 @@ class TestBalance:
             lipschitz_bound(d, a, gamma=0.9, certificate=cert)
 
     def test_import_leaves_the_lp_solver_unloaded(self):
-        # scipy costs a large share of a CLI run's import and only the LP
-        # fallback of check_balanced needs it (scipy.optimize)
+        # scipy costs a large share of a CLI run's import and no module of
+        # the package needs it
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -335,6 +336,129 @@ class TestBalance:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_failing_sample_loads_no_scipy(self):
+        # a failing sample is decided by the closed form, not by an LP solver
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, numpy as np\n"
+            "from chainbsde import MarkovianDriver, check_balanced, validate_rate_matrix\n"
+            "a = validate_rate_matrix([[-1.0, 2.0], [1.0, -2.0]])\n"
+            "d = MarkovianDriver(lambda x, t, y, z: 100.0 * float(np.sum(z * z)))\n"
+            "assert not check_balanced(d, a, 0.9, samples=3).passed\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_interval_ends_match_the_lp_optima(self):
+        rng = np.random.default_rng(40)
+        for k in range(200):
+            n = int(rng.integers(2, 9))
+            a = spine_chain(rng, n) if k % 2 else recurrent_chain(rng, n)
+            x = int(rng.integers(n))
+            idx, lo, hi = balance_box(a, x, float(rng.uniform(0.1, 1.0)))
+            delta = rng.normal(0.0, 1.0, size=idx.size)
+            if k % 3 == 0:
+                delta = np.round(delta)  # ties
+            order = np.argsort(delta)
+            low = delta @ _greedy_fill(lo, hi, order)
+            high = delta @ _greedy_fill(lo, hi, order[::-1])
+            lp_low, lp_high = lp_interval(delta, lo, hi)
+            scale = max(1.0, float(np.abs(delta) @ np.maximum(-lo, hi)))
+            assert abs(low - lp_low) <= 1e-9 * scale
+            assert abs(high - lp_high) <= 1e-9 * scale
+
+    def test_decisions_match_a_tight_lp(self):
+        rng = np.random.default_rng(41)
+        decided = {True: 0, False: 0}
+        for _ in range(6):
+            n = int(rng.integers(2, 9))
+            a, drivers = family_drivers(rng, n)
+            drivers.update(
+                envelope=measure_envelope_driver(a, 0.5),
+                envelope_045=measure_envelope_driver(a, 0.45),
+                truncated=truncate_driver(drivers["hamiltonian_inf"], 1.0),
+                zero=zero_driver(a),
+                unbalanced=MarkovianDriver(lambda x, t, y, z: 100.0 * float(np.sum(z * z))),
+            )
+            for d in drivers.values():
+                for gamma in (0.3, 0.45, 0.5, 1.0):
+                    for shift in (False, True):
+                        x = int(rng.integers(n))
+                        t, y = float(rng.exponential(1.0)), float(rng.normal())
+                        z, zp = rng.normal(size=n), rng.normal(size=n)
+                        if shift:
+                            # delta constant: the interval is one point, up to rounding
+                            zp = z + rng.normal()
+                        ok, lam, _ = _find_witness(d, a, gamma, x, t, y, z, zp, 1e-9)
+                        idx, lo, hi = balance_box(a, x, gamma)
+                        delta = (z - zp)[idx]
+                        value = d.eval(x, t, y, z) - d.eval(x, t, y, zp) + (z - zp) @ a.q[:, x]
+                        if ok:
+                            # the witness: zero off J, zero mass, in the box, the identity
+                            size = max(1.0, float(np.abs(lam).sum()))
+                            assert not np.delete(lam, idx).any()
+                            assert abs(lam.sum()) <= 1e-12 * size
+                            assert (lam[idx] >= lo - 1e-12 * size).all()
+                            assert (lam[idx] <= hi + 1e-12 * size).all()
+                            scale = max(1.0, abs(value), float(np.abs(delta) @ np.abs(lam[idx])))
+                            assert abs(delta @ lam[idx] - value) <= 1e-12 * scale
+                        lp_low, lp_high = lp_interval(delta, lo, hi)
+                        near = min(abs(value - lp_low), abs(value - lp_high))
+                        if near > 1e-7 * max(1.0, abs(value)):
+                            assert ok == lp_feasible(delta, lo, hi, value)
+                            decided[ok] += 1
+        assert min(decided.values()) >= 50
+
+    def test_box_edge_sample_rejected(self):
+        # B = 2A sits on the edge of the gamma = 0.5 box: each increment needs
+        # the intensity 0.2, and at gamma = 0.5000001 the ceiling is
+        # 0.1 / gamma + 1e-9, 3.9e-8 short; an LP solver at its default 1e-7
+        # feasibility tolerance accepts this sample
+        a = validate_rate_matrix([[-0.1, 0.1], [0.1, -0.1]])
+        d = affine_driver(a, b=2.0 * a.q)
+        assert check_balanced(d, a, 0.5, samples=1, seed=4).passed
+        cert = check_balanced(d, a, 0.5000001, samples=1, seed=4)
+        assert not cert.passed
+        assert cert.failures[0][-1].startswith("no admissible witness: increment ")
+
+
+def balance_box(a, x, gamma):
+    """States ``x`` jumps to plus ``x``, and the admissible intensity box there."""
+    q = a.q[:, x]
+    idx = np.union1d(np.flatnonzero(q > 0.0), [x])
+    qj = q[idx]
+    return idx, np.minimum(gamma * qj, qj / gamma) - 1e-9, np.maximum(gamma * qj, qj / gamma) + 1e-9
+
+
+TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def lp_interval(delta, lo, hi):
+    """Least and greatest ``delta @ lam`` over the box with ``sum(lam) = 0``, by LP."""
+    from scipy.optimize import linprog
+
+    kw = dict(A_eq=np.ones((1, lo.size)), b_eq=[0.0], bounds=list(zip(lo, hi)), options=TIGHT)
+    return linprog(delta, **kw).fun, -linprog(-delta, **kw).fun
+
+
+def lp_feasible(delta, lo, hi, value):
+    """Whether some ``lam`` in the box has zero mass and ``delta @ lam = value``, by LP."""
+    from scipy.optimize import linprog
+
+    res = linprog(
+        np.zeros(lo.size),
+        A_eq=np.vstack([delta, np.ones(lo.size)]),
+        b_eq=[value, 0.0],
+        bounds=list(zip(lo, hi)),
+        options=TIGHT,
+    )
+    return res.status == 0
 
 
 def family_drivers(rng, n):

@@ -161,6 +161,57 @@ class TestLoaders:
         assert cs.size == 1
 
 
+MATRIX = [[-1.0, 0.0], [1.0, 0.0]]
+CONTROLS = {"labels": ["a"], "matrices": [MATRIX], "cost": [[1.0], [0.0]]}
+GRAPH_SPEC = {"distances": [[0.0, 1.0], [0.0, 0.0]], "target": 1}
+RELIABILITY_SPEC = {"chain": CHAIN_SPEC, "loss_rates": [0.1, 0.0], "target_node": 1}
+CONTROL_SPEC = {"chain": CHAIN_SPEC, "target": [1], "terminal": [0.0, 0.0], "controls": CONTROLS}
+
+
+def amend(spec, **fields):
+    return {**spec, **fields}
+
+
+def load_driver_on_chain(spec):
+    return load_driver(spec, validate_rate_matrix(MATRIX))
+
+
+# values of the right field names but the wrong kind, each of which escaped
+# as a raw ValueError or TypeError before the loaders converted them
+MALFORMED = [
+    (load_chain, {"rates": "abc"}),
+    (load_chain, {"rates": [[-1.0, 0.0], [1.0]]}),
+    (load_chain, {"rates": MATRIX, "n": "two"}),
+    (load_chain, {"rates": MATRIX, "state_names": 5}),
+    (load_chain, [1, 2]),
+    (load_problem, amend(PROBLEM_SPEC, terminal=["a", 0, 0])),
+    (load_problem, amend(PROBLEM_SPEC, target=["x"])),
+    (load_problem, amend(PROBLEM_SPEC, target=5)),
+    (load_problem, amend(PROBLEM_SPEC, constants={"k": "x"})),
+    (load_problem, amend(PROBLEM_SPEC, constants={"beta": [1]})),
+    (load_problem, amend(PROBLEM_SPEC, driver=[1, 2])),
+    (load_driver_on_chain, {"type": "affine", "g": ["a", 0]}),
+    (load_driver_on_chain, {"type": "affine", "b": "abc"}),
+    (load_driver_on_chain, amend(CONTROLS, type="hamiltonian", matrices=[[[1, 2], [3]]])),
+    (load_driver_on_chain, {"type": "reliability", "loss_rates": "ab"}),
+    (load_driver_on_chain, {"type": "shortest_path", "control_matrices": 7}),
+    (load_graph, amend(GRAPH_SPEC, target="x")),
+    (load_graph, amend(GRAPH_SPEC, distances=[[0, 1], [0]])),
+    (load_graph, amend(GRAPH_SPEC, speedups=5)),
+    (load_reliability, amend(RELIABILITY_SPEC, target_node="x")),
+    (load_reliability, amend(RELIABILITY_SPEC, dead=["q"])),
+    (load_reliability, amend(RELIABILITY_SPEC, loss_rates=[[1], 2])),
+    (load_control, amend(CONTROL_SPEC, controls=amend(CONTROLS, cost=[[1.0], [0.0, 2.0]]))),
+    (load_control, amend(CONTROL_SPEC, terminal="zz")),
+]
+
+
+@pytest.mark.parametrize(("load", "spec"), MALFORMED)
+def test_malformed_values_raise_input_error(load, spec):
+    with pytest.raises(InputError):
+        load(spec)
+
+
 class TestCsv:
     def test_fmt_value_rules(self):
         assert fmt_value(None) == ""
@@ -225,6 +276,14 @@ class TestCliValidate:
         assert main(["validate", str(f)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["diagnostics"][0]["check"] == "json"
+
+    @pytest.mark.parametrize("spec", [[1, 2], {"rates": "abc"}])
+    def test_malformed_value_reported(self, tmp_path, capsys, spec):
+        f = write_json(tmp_path / "bad.json", spec)
+        assert main(["validate", f]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        assert report["diagnostics"][0]["error"] == "InputError"
 
     def test_out_writes_report_and_manifest(self, tmp_path, capsys):
         f = write_json(tmp_path / "chain.json", CHAIN_SPEC)

@@ -19,7 +19,7 @@ from chainbsde import (
     validate_rate_matrix,
     zero_driver,
 )
-from chainbsde.montecarlo import _jump_tables
+from chainbsde.montecarlo import _draw, _jump_tables
 
 TWO = validate_rate_matrix([[-2.0, 0.0], [2.0, 0.0]])
 
@@ -179,30 +179,39 @@ class TestReportMechanics:
         assert rep.paths == 1_000 and rep.seed == 0
 
 
-def loop_remap(probs):
-    """Plateau remap by the double loop the vectorized one replaced."""
-    n = probs.shape[0]
-    remap = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        nxt = n - 1
-        for j in range(n - 1, -1, -1):
-            if probs[i, j] > 0.0:
-                nxt = j
-            remap[i, j] = nxt
-    return remap
+def simulator_draw(col, x, u):
+    """Next state out of ``x`` by ``simulate_controlled_path``'s rule on the
+    column ``col``: search the normalized cumulative rates of the positive
+    jumps, side="right"."""
+    probs = np.maximum(col, 0.0)
+    probs[x] = 0.0
+    nonzero = np.flatnonzero(probs)
+    cum = np.cumsum(probs[nonzero])
+    cum /= cum[-1]
+    k = min(int(np.searchsorted(cum, u, side="right")), len(nonzero) - 1)
+    return int(nonzero[k])
 
 
-def test_jump_table_remap_matches_the_loop():
+def test_jump_draws_follow_the_simulator_rule():
     rng = np.random.default_rng(17)
+    below_one = np.nextafter(1.0, 0.0)
     for _ in range(200):
-        n = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 40))
         # sparse columns give zero-probability plateaus; an all-zero
         # column is an absorbing state, an empty row of the jump chain
         q = rng.uniform(0.1, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
         q[:, rng.random(n) < 0.2] = 0.0
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=0))
-        _lam, _cum, remap = _jump_tables(q)
-        probs = np.maximum(q, 0.0).T
-        np.fill_diagonal(probs, 0.0)
-        assert np.array_equal(remap, loop_remap(probs))
+        # validation moves column residuals into the diagonal, so an exit
+        # rate can differ from its row's total by a rounding step
+        q = validate_rate_matrix(q).q
+        lam, cum = _jump_tables(q)
+        for x in np.flatnonzero(lam > 0.0):
+            # every CDF entry, the doubles on either side, and both ends
+            edges = np.concatenate([cum[x], [0.0, below_one]])
+            u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+            u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+            drawn = _draw(np.broadcast_to(cum[x], (u.size, n)), u)
+            assert (q[drawn, x] > 0.0).all() and (drawn != x).all()
+            assert drawn.tolist() == [simulator_draw(q[:, x], x, v) for v in u]
