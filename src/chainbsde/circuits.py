@@ -11,7 +11,12 @@ with every diode replaced by its zero-bias resistance V_T/I_s.
 
 One vectorized law gives every edge's current and slope, and every matrix
 here is one assembly of per-edge weights; the driver's exact Jacobian is
-the assembly of the slopes of w(V) V.
+the assembly of the slopes of w(V) V.  ``solve_circuit`` starts Newton from
+one more assembly, each diode at its implied conductance at SPICE's
+critical drop V_crit = V_T ln(V_T / (sqrt(2) I_s)), and retries from the
+harmonic one where that start does not converge.  It stops at a Kirchhoff
+residual of 1e-12 A, ``newton_nodal``'s, or of 1e-12 times the largest
+current at a non-source node where that exceeds 1 A.
 
 ``newton_nodal`` solves the same physics directly (Kirchhoff current
 residuals, analytic Jacobian, damped Newton) with no chain machinery and
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -229,9 +234,11 @@ def _implied(c: CircuitSpec, u):
     v, cur, slope = _edge_law(c, u)
     x = v / c.v_t
     series = np.abs(x) < 1e-6
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # np.where evaluates both branches on every edge and discards one: the
+    # series overflows at far-off drops, and cur / v is 0/0 at v = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = np.where(series, c.g0 * (1.0 + x / 2.0 + x * x / 6.0), cur / v)
-    dwv = np.where(series, c.g0 * (1.0 + x + x * x / 2.0), np.where(x < _EXP_CAP, slope, 0.0))
+        dwv = np.where(series, c.g0 * (1.0 + x + x * x / 2.0), np.where(x < _EXP_CAP, slope, 0.0))
     floor = c.diode & (w < _W_FLOOR)
     return v, np.where(floor, _W_FLOOR, w), np.where(floor, _W_FLOOR, dwv)
 
@@ -290,20 +297,81 @@ def circuit_driver(c: CircuitSpec, reference: RateMatrix | None = None) -> Marko
     return _CircuitDriver(circuit=c, reference=a.q, spec={"type": "diode_circuit"})
 
 
-def solve_circuit(c: CircuitSpec, tol: float = 1e-10, max_iter: int = 200) -> SolutionField:
+def _critical_conductance(c: CircuitSpec) -> NDArray[np.float64]:
+    """Edge conductances with each diode at its implied conductance at
+    SPICE's critical drop V_crit = V_T x_crit, x_crit = ln(V_T / (sqrt(2) I_s)),
+    and each resistor at 1/R."""
+    w = c.g0.copy()
+    d = np.flatnonzero(c.diode)
+    x = np.minimum(np.log(c.v_t[d] / (math.sqrt(2.0) * c.i_s[d])), _EXP_CAP)
+    # I_s >= V_T/sqrt(2) puts V_crit at or below 0: keep I_s/V_T, the x -> 0 limit
+    on = x > 0.0
+    w[d[on]] *= np.expm1(x[on]) / x[on]
+    return w
+
+
+def _linear_start(c: CircuitSpec, w: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Potentials of the linear circuit with edge conductances ``w``; zero
+    off the sources if that system is singular."""
+    free = np.setdiff1d(np.arange(c.n), list(c.sources))
+    q = _assemble(c, w)
+    u = c.source_vector
+    uf = solve_or_none(q[np.ix_(free, free)], -q[free] @ u)
+    if uf is not None:
+        u[free] = uf
+    return u
+
+
+def _newton(c: CircuitSpec, p: HittingProblem, u, tol: float, max_iter: int) -> SolutionField:
+    """``solve_homogeneous`` from ``u``, run again from its answer until the
+    residual there is below ``tol * max(1, largest current at a non-source
+    node)``; edges between two sources enter no residual and are left out."""
+    pinned = np.zeros(c.n, dtype=bool)
+    pinned[list(c.sources)] = True
+    at_free = ~(pinned[c.tail] & pinned[c.head])
+
+    def bound(u):
+        return tol * max(1.0, float(np.abs(_edge_law(c, u)[1][at_free]).max(initial=0.0)))
+
+    iterations = 0
+    while True:
+        sol = solve_homogeneous(p, tol=bound(u), max_iter=max_iter - iterations, u0=u)
+        iterations += sol.iterations
+        u = sol.u
+        if sol.residual < bound(u):
+            return replace(sol, iterations=iterations)
+        # a pass that does not return took at least one step
+        if iterations >= max_iter:
+            raise NoConvergenceError(sol.residual, iterations)
+
+
+def solve_circuit(c: CircuitSpec, tol: float = 1e-12, max_iter: int = 200) -> SolutionField:
     """Node potentials by the stationary backward-equation route.
 
     The solution satisfies current conservation at every non-source node:
     the stationary system's residual at x is exactly the net current into
-    x under the implied conductances.  Initialization is the harmonic
-    (all-resistor) solve, i.e. the driver frozen at z = 0.
+    x under the implied conductances.  It is stopped below ``tol`` amps, or
+    below ``tol`` times the largest edge current at a non-source node where
+    that exceeds 1 A, since on large currents an absolute bound lies below
+    the residual's rounding; the default 1e-12 is ``newton_nodal``'s.
+    Newton starts from the linear circuit with every diode at its implied
+    conductance at its critical drop V_crit = V_T ln(V_T / (sqrt(2) I_s))
+    (Nagel, SPICE2, 1975), not from the harmonic (all-resistor) solve,
+    which puts the whole drive across the diodes and leaves Newton to lower
+    each drop by about one thermal voltage a step.  Where the critical start does not converge, the
+    solve is repeated from the harmonic start; ``iterations`` counts both.
     """
     a = reference_matrix(c)
     target = frozenset(c.sources)
     p = HittingProblem(
         a, target, c.source_vector, circuit_driver(c, a), require_reachable=True
     )
-    return solve_homogeneous(p, tol=tol, max_iter=max_iter)
+    try:
+        return _newton(c, p, _linear_start(c, _critical_conductance(c)), tol, max_iter)
+    except NoConvergenceError as exc:
+        spent = exc.iterations
+    sol = _newton(c, p, _linear_start(c, c.g0), tol, max_iter)
+    return replace(sol, iterations=spent + sol.iterations)
 
 
 def newton_nodal(

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -87,6 +88,22 @@ def _manifest(argv, files, seed, tolerances) -> RunManifest:
     )
 
 
+def _spec_kind(data) -> tuple[str, Callable]:
+    """The spec kind a JSON value declares by its keys, and its loader.  A
+    reliability spec may carry ``controls`` too, so ``loss_rates`` is read
+    first."""
+    keys = data if isinstance(data, dict) else {}
+    if "distances" in keys:
+        return "graph", load_graph
+    if "chain" in keys:
+        if "loss_rates" in keys:
+            return "reliability", load_reliability
+        if "controls" in keys:
+            return "control", load_control
+        return "problem", load_problem
+    return "chain", load_chain
+
+
 def _cmd_validate(args, argv, t0) -> int:
     diagnostics = []
     ok = True
@@ -99,12 +116,9 @@ def _cmd_validate(args, argv, t0) -> int:
         ok = False
         diagnostics.append({"check": "json", "ok": False, "detail": str(exc)})
     if data is not None:
-        kind = "problem" if isinstance(data, dict) and "chain" in data else "chain"
+        kind, load = _spec_kind(data)
         try:
-            if kind == "problem":
-                load_problem(data)
-            else:
-                load_chain(data)
+            load(data)
             diagnostics.append({"check": kind, "ok": True, "detail": "valid"})
         except InputError as exc:
             ok = False
@@ -297,7 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    v = sub.add_parser("validate", help="check a chain or problem spec file")
+    v = sub.add_parser(
+        "validate", help="check a chain, problem, graph, control or reliability spec file"
+    )
     v.add_argument("file")
     v.add_argument("--out", default=None, help="also write the diagnostics JSON here")
     v.set_defaults(func=_cmd_validate)

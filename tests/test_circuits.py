@@ -8,7 +8,9 @@ from chainbsde import (
     CircuitSpec,
     Diode,
     DisconnectedNodeError,
+    HittingProblem,
     InputError,
+    NoConvergenceError,
     Resistor,
     edge_currents,
     implied_matrix,
@@ -17,8 +19,16 @@ from chainbsde import (
     parse_netlist,
     reference_matrix,
     solve_circuit,
+    solve_homogeneous,
 )
-from chainbsde.circuits import _EXP_CAP, _W_FLOOR, circuit_driver
+from chainbsde.circuits import (
+    _EXP_CAP,
+    _W_FLOOR,
+    _critical_conductance,
+    _linear_start,
+    _newton,
+    circuit_driver,
+)
 
 from conftest import resistor_nodal_oracle
 
@@ -271,6 +281,103 @@ class TestDiodeCircuits:
             """
         )
         self.check_against_oracle(c)
+
+
+# A netlist on which Newton and the Picard sweeps diverge from the critical
+# start (residuals near 1e17 A); the harmonic start solves it in 3 steps.
+STALLS_FROM_CRITICAL = """
+V n0 6.282
+V n1 0
+R n0 n2 42986.879
+D n1 n3 2.728e-09 0.02531
+D n4 n2 2.172e-13 0.02738
+D n5 n1 8.337e-10 0.02744
+D n6 n2 3.943e-10 0.02848
+R n2 n3 1833.674
+D n3 n6 9.227e-12 0.02826
+R n0 n2 2.652
+D n4 n5 5.909e-11 0.02974
+"""
+
+
+def diode_ladder(rng, drive, nodes=12):
+    """Ladder ``in -D- x1 -R- x2 -D- x3 ...`` with every rung shunted to
+    ground; ``nodes`` counts ``in`` and ``gnd``."""
+    lines = [f"V in {drive!r}", "V gnd 0.0"]
+    prev = "in"
+    for k in range(1, nodes - 1):
+        cur = f"x{k}"
+        if k % 2:
+            lines.append(f"D {prev} {cur} {rng.uniform(1e-10, 1e-8)!r} {rng.uniform(0.025, 0.03)!r}")
+        else:
+            lines.append(f"R {prev} {cur} {rng.uniform(100.0, 1000.0)!r}")
+        lines.append(f"R {cur} gnd {rng.uniform(1000.0, 5000.0)!r}")
+        prev = cur
+    return parse_netlist("\n".join(lines))
+
+
+class TestCriticalStart:
+    @pytest.mark.parametrize("drive", [1.5, 3.0, 5.0, 10.0])
+    def test_ladders_take_few_steps(self, drive):
+        # from the all-resistor start each step lowers the largest diode
+        # drop by about one thermal voltage: 42-50 steps at 1.5 V, and past
+        # max_iter at 10 V
+        rng = np.random.default_rng([int(10 * drive), 8])
+        for _ in range(3):
+            c = diode_ladder(rng, drive)
+            sol = solve_circuit(c)
+            # the oracle keeps the zero start, so it crawls at high drive
+            expect = newton_nodal(c, max_iter=1000)
+            assert np.abs(sol.u - expect).max() <= 1e-9 * drive
+            assert sol.iterations <= 15
+
+    def test_series_diode_iterations(self):
+        assert solve_circuit(parse_netlist(SERIES_DIODE)).iterations <= 8
+
+    @pytest.mark.filterwarnings("error")
+    def test_critical_drop_at_or_below_zero(self):
+        # I_s >= V_T/sqrt(2) puts V_crit <= 0; the start keeps I_s/V_T there
+        for i_s in (0.025 / math.sqrt(2.0), 0.5):
+            c = parse_netlist(SERIES_DIODE.replace("1e-9 0.025", f"{i_s!r} 0.025"))
+            sol = solve_circuit(c)
+            assert np.abs(sol.u - newton_nodal(c)).max() < 1e-9
+
+    def test_retry_from_the_harmonic_start(self):
+        c = parse_netlist(STALLS_FROM_CRITICAL)
+        a = reference_matrix(c)
+        p = HittingProblem(
+            a, frozenset(c.sources), c.source_vector, circuit_driver(c, a), require_reachable=True
+        )
+        with pytest.raises(NoConvergenceError):
+            _newton(c, p, _linear_start(c, _critical_conductance(c)), 1e-12, 200)
+        sol = solve_circuit(c)
+        assert np.abs(sol.u - newton_nodal(c)).max() < 1e-9
+        # the failed attempt's steps are counted
+        assert sol.iterations > 200
+
+    def test_high_current_circuit(self):
+        # the diodes at m carry 7.4e3 A, where 1e-12 A is below the rounding
+        # of the residual; the stopping bound scales with that current
+        c = parse_netlist(BRANCHES)
+        sol = solve_circuit(c)
+        at_free = np.isin(c.tail, free_nodes(c)) | np.isin(c.head, free_nodes(c))
+        scale = np.abs([cur for _a, _b, cur in edge_currents(c, sol.u)])[at_free].max()
+        assert scale > 1e3
+        assert np.abs(kirchhoff_residuals(c, sol.u)[free_nodes(c)]).max() < 1e-12 * scale
+        assert np.abs(sol.u - newton_nodal(c, tol=1e-10)).max() < 1e-7
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_off_iterates_raise_no_warning(self):
+        # one Newton step from the harmonic start, then Picard sweeps through
+        # far-off potentials (residuals near 1e140 A): the series terms of
+        # the implied conductance must not overflow where they are discarded
+        c = diode_ladder(np.random.default_rng([100, 8]), 10.0)
+        a = reference_matrix(c)
+        p = HittingProblem(
+            a, frozenset(c.sources), c.source_vector, circuit_driver(c, a), require_reachable=True
+        )
+        with pytest.raises(NoConvergenceError):
+            solve_homogeneous(p, max_iter=1)
 
 
 # Every edge law branch at once: ``hi -> lo`` sits past the exponent cap,

@@ -285,6 +285,38 @@ class TestCliValidate:
         assert report["ok"] is False
         assert report["diagnostics"][0]["error"] == "InputError"
 
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("chain", CHAIN_SPEC),
+            ("problem", PROBLEM_SPEC),
+            ("graph", GRAPH_SPEC),
+            ("control", CONTROL_SPEC),
+            ("reliability", RELIABILITY_SPEC),
+            ("reliability", amend(RELIABILITY_SPEC, controls={"labels": ["b"], "matrices": [MATRIX]})),
+        ],
+    )
+    def test_every_spec_kind_routed_by_its_keys(self, tmp_path, capsys, kind, spec):
+        f = write_json(tmp_path / "spec.json", spec)
+        assert main(["validate", f]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        assert report["diagnostics"] == [{"check": kind, "ok": True, "detail": "valid"}]
+
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("graph", amend(GRAPH_SPEC, target="x")),
+            ("control", amend(CONTROL_SPEC, terminal="zz")),
+            ("reliability", amend(RELIABILITY_SPEC, target_node="x")),
+        ],
+    )
+    def test_broken_app_spec_exits_one(self, tmp_path, capsys, kind, spec):
+        f = write_json(tmp_path / "spec.json", spec)
+        assert main(["validate", f]) == 1
+        (diag,) = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert (diag["check"], diag["ok"], diag["error"]) == (kind, False, "InputError")
+
     def test_out_writes_report_and_manifest(self, tmp_path, capsys):
         f = write_json(tmp_path / "chain.json", CHAIN_SPEC)
         out = tmp_path / "report.json"
